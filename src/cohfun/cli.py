@@ -15,9 +15,10 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .linalg import BaseRing
-from .modules import FpModule, ModMorphism
+from .modules import FpModule, ModMorphism, direct_sum
 from .functors import (
     CoherentFunctor,
     NatMorphism,
@@ -38,8 +39,8 @@ from .functors import (
 )
 from . import oracle
 from .formats import (
-    instance_into,
     PayloadBuilder,
+    instance_payload,
     matrix_from_obj,
     render_matrix,
     ring_from_str,
@@ -99,14 +100,20 @@ def parse_workspace(text: str) -> Workspace:
         raise WorkspaceError(str(exc)) from None
     ws = Workspace(ring=ring)
 
+    def matrix(obj, where: str):
+        try:
+            return matrix_from_obj(ring, obj, where=where)
+        except ValueError as exc:
+            raise WorkspaceError(str(exc)) from None
+
     for name, spec in (raw.get("modules") or {}).items():
         where = f"modules.{name}"
         if not isinstance(spec, dict) or set(spec) != {"gens", "rels"}:
             raise WorkspaceError(f"{where}: expected fields gens, rels")
         gens = spec["gens"]
-        if not isinstance(gens, int) or gens < 0:
+        if type(gens) is not int or gens < 0:  # not isinstance: JSON true is a bool
             raise WorkspaceError(f"{where}.gens: expected a nonnegative integer")
-        rels = matrix_from_obj(ring, spec["rels"], where=f"{where}.rels")
+        rels = matrix(spec["rels"], f"{where}.rels")
         if rels.rows != gens:
             raise WorkspaceError(
                 f"{where}: relation matrix has {rels.rows} rows for {gens} generators"
@@ -120,7 +127,7 @@ def parse_workspace(text: str) -> Workspace:
         for end in ("source", "target"):
             if spec[end] not in ws.modules:
                 raise WorkspaceError(f"{where}.{end}: unknown module {spec[end]!r}")
-        mat = matrix_from_obj(ring, spec["mat"], where=f"{where}.mat")
+        mat = matrix(spec["mat"], f"{where}.mat")
         try:
             ws.morphisms[name] = ModMorphism(
                 ws.modules[spec["source"]], ws.modules[spec["target"]], mat
@@ -145,8 +152,8 @@ def parse_workspace(text: str) -> Workspace:
                 raise WorkspaceError(f"{where}.{end}: unknown functor {spec[end]!r}")
         src = ws.functors[spec["source"]]
         tgt = ws.functors[spec["target"]]
-        a = matrix_from_obj(ring, spec["a"], where=f"{where}.a")
-        b = matrix_from_obj(ring, spec["b"], where=f"{where}.b")
+        a = matrix(spec["a"], f"{where}.a")
+        b = matrix(spec["b"], f"{where}.b")
         try:
             ws.nats[name] = NatMorphism(
                 source=src,
@@ -161,47 +168,38 @@ def parse_workspace(text: str) -> Workspace:
 
 def render_workspace(ws: Workspace) -> str:
     """Canonical text; parse(render(ws)) reproduces ws exactly."""
-    builder = PayloadBuilder(ws.ring)
-    builder.modules = dict(ws.modules)
-    builder._module_names = {m: n for n, m in ws.modules.items()}
-    builder.morphisms = dict(ws.morphisms)
-    builder._morphism_names = {phi.key(): n for n, phi in ws.morphisms.items()}
-    builder.functors = dict(ws.functors)
-    builder._functor_names = {f._key(): n for n, f in ws.functors.items()}
-    builder.nats = dict(ws.nats)
+    builder = PayloadBuilder(ws.ring, ws.modules, ws.morphisms, ws.functors, ws.nats)
     return json.dumps(builder.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _describe(module: FpModule) -> str:
-    return module.describe()
-
-
-def _battery_from_spec(ring: BaseRing, spec: str | None, seed: int, cases: int):
+def _battery_from_spec(ring: BaseRing, spec: str | None) -> oracle.ProbeBattery:
     if not spec:
-        return oracle.default_battery(ring, seed=seed, case_count=cases)
+        return oracle.default_battery(ring)
     probes = []
     for item in spec.split(","):
         item = item.strip()
         if not item:
             continue
-        summands = [s.strip() for s in item.split("+")]
         total = FpModule.zero(ring)
-        from .modules import direct_sum
-
-        for s in summands:
-            if s == "Z":
-                part = FpModule.free(ring, 1)
-            elif s.startswith("Z^"):
-                part = FpModule.free(ring, int(s[2:]))
-            elif s.startswith("Z/"):
-                if ring.is_field:
-                    raise WorkspaceError(f"battery item {s!r} is not defined over {ring}")
-                part = FpModule.cyclic(ring, int(s[2:]))
-            else:
-                raise WorkspaceError(f"bad battery item {s!r}")
+        for s in (s.strip() for s in item.split("+")):
+            if s.startswith("Z/") and ring.is_field:
+                raise WorkspaceError(f"--battery: item {s!r} is not defined over {ring}")
+            try:
+                if s == "Z":
+                    part = FpModule.free(ring, 1)
+                elif s.startswith("Z^"):
+                    part = FpModule.free(ring, int(s[2:]))
+                elif s.startswith("Z/"):
+                    part = FpModule.cyclic(ring, int(s[2:]))
+                else:
+                    raise ValueError
+            except ValueError:
+                raise WorkspaceError(f"--battery: bad item {s!r}") from None
             total = direct_sum(total, part)[0]
         probes.append(total)
-    return oracle.ProbeBattery(probes=tuple(probes), seed=seed, case_count=cases)
+    if not probes:
+        raise WorkspaceError("--battery: no probes given")
+    return oracle.ProbeBattery(probes=tuple(probes))
 
 
 def _print_exactness(maps, battery, out) -> bool:
@@ -210,127 +208,179 @@ def _print_exactness(maps, battery, out) -> bool:
     return report.passed
 
 
+def _eval(ws, args, out, battery) -> int:
+    value = evaluate(ws.functor(args.functor), ws.module(args.module))
+    out.write(f"{args.functor}({args.module}) = {value.describe()}\n")
+    return 0
+
+
+def _nat(ws, args, out, battery) -> int:
+    ng = nat_group(ws.functor(args.functor), ws.functor(args.other))
+    out.write(f"Nat({args.functor}, {args.other}) = {ng.group.describe()}\n")
+    for i, rep in enumerate(ng.reps):
+        out.write(f"gen {i}: a = {render_matrix(rep.a.mat)}, b = {render_matrix(rep.b.mat)}\n")
+    return 0
+
+
+def _w(ws, args, out, battery) -> int:
+    wf, k = w_of(ws.functor(args.functor))
+    out.write(f"w({args.functor}) = {wf.describe()}\n")
+    out.write(f"k: w({args.functor}) -> X = {render_matrix(k.mat)}\n")
+    return 0
+
+
+def _fourterm(ws, args, out, battery) -> int:
+    f = ws.functor(args.functor)
+    ft = four_term(f)
+    out.write(f"w({args.functor}) = {ft.wf.describe()}\n")
+    out.write(f"k = {render_matrix(ft.k.mat)}\n")
+    out.write(f"F0: presented by v = {render_matrix(ft.v.mat)} on {ft.coim.describe()}\n")
+    out.write(f"F1: presented by k on {ft.wf.describe()}\n")
+    for probe in battery.probes:
+        row = " -> ".join(evaluate(g, probe).describe() for g in (ft.f0, f, ft.r0, ft.f1))
+        out.write(f"at {probe.describe()}: 0 -> {row} -> 0\n")
+    return 0 if _print_exactness([ft.iota, ft.phi, ft.rho], battery, out) else 1
+
+
+def _r0(ws, args, out, battery) -> int:
+    r0, unit = r0_functor(ws.functor(args.functor))
+    out.write(f"R0({args.functor}) = Hom({r0.pres.source.describe()}, -)\n")
+    out.write(f"unit a-component = {render_matrix(unit.a.mat)}\n")
+    return 0
+
+
+def _l0(ws, args, out, battery) -> int:
+    f = ws.functor(args.functor)
+    _, counit = l0_functor(f)
+    out.write(f"L0({args.functor}) = {evaluate(f, FpModule.free(ws.ring, 1)).describe()} tensor -\n")
+    out.write(f"counit a-component = {render_matrix(counit.a.mat)}\n")
+    out.write(f"counit b-component = {render_matrix(counit.b.mat)}\n")
+    return 0
+
+
+def _stab_inj(ws, args, out, battery) -> int:
+    f = ws.functor(args.functor)
+    st = inj_stabilize(f)
+    out.write(f"stable({args.functor}) presented by {render_matrix(st.pres.mat)}\n")
+    out.write(f"injectively stable: {'true' if is_inj_stable(f) else 'false'}\n")
+    for probe in battery.probes:
+        out.write(f"at {probe.describe()}: {evaluate(st, probe).describe()}\n")
+    return 0
+
+
+def _stab_proj(ws, args, out, battery) -> int:
+    f = ws.functor(args.functor)
+    st = proj_stabilize(f)
+    out.write(f"stabilization presented by {render_matrix(st.pres.mat)}\n")
+    out.write(f"projectively stable: {'true' if is_proj_stable(f) else 'false'}\n")
+    for probe in battery.probes:
+        out.write(f"at {probe.describe()}: {evaluate(st, probe).describe()}\n")
+    return 0
+
+
+def _resolve(ws, args, out, battery) -> int:
+    f = ws.functor(args.functor)
+    res = injective_resolution(f)
+    for name, term in zip(("I0", "I1", "I2"), res.terms):
+        pres = term.pres
+        out.write(
+            f"{name}: {pres.source.describe()} -> {pres.target.describe()}"
+            f" via {render_matrix(pres.mat)}\n"
+        )
+    for label, mp in zip(("F->I0", "I0->I1", "I1->I2"), res.maps):
+        out.write(f"map {label} a-component: {render_matrix(mp.a.mat)}\n")
+    length = max((i for i, t in enumerate(res.terms) if not is_zero_functor(t)), default=0)
+    out.write(f"length: {length}\n")
+    for probe in battery.probes:
+        row = " -> ".join(evaluate(t, probe).describe() for t in res.terms)
+        out.write(f"at {probe.describe()}: 0 -> {evaluate(f, probe).describe()} -> {row} -> 0\n")
+    return 0 if _print_exactness(list(res.maps), battery, out) else 1
+
+
+def _is_rep(ws, args, out, battery) -> int:
+    out.write("true\n" if is_representable(ws.functor(args.functor)) else "false\n")
+    return 0
+
+
+def _is_inj(ws, args, out, battery) -> int:
+    out.write("true\n" if is_injective_functor(ws.functor(args.functor)) else "false\n")
+    return 0
+
+
+def _check(ws, args, out, battery) -> int:
+    failed = False
+    for rep in oracle.verify_theorems(battery, seed=args.seed, cases=args.cases):
+        out.write(rep.line() + "\n")
+        sys.stderr.write(f"{rep.name}: {rep.seconds:.2f}s\n")
+        if not rep.passed:
+            failed = True
+            for failure in rep.failures[:3]:
+                out.write(f"  counterexample: {json.dumps(failure, sort_keys=True)}\n")
+    return 1 if failed else 0
+
+
+def _random(ws, args, out, battery) -> int:
+    inst = oracle.random_instance(args.kind, args.seed, ring=ws.ring)
+    if isinstance(inst, oracle.ShortExactSequence):
+        inst = [inst.incl, inst.proj]
+    payload = instance_payload(inst, ring=ws.ring)
+    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.  ``run(ws, args, out, battery)`` writes the report
+    and returns the exit code; ``args`` and ``options`` are the
+    subcommand's positional arguments and its add_argument settings."""
+
+    run: Callable[..., int]
+    help: str
+    args: tuple[str, ...] = ()
+    options: dict[str, dict] = field(default_factory=dict)
+
+
+COMMANDS: dict[str, Command] = {
+    "eval": Command(_eval, "evaluate a functor at a module", ("functor", "module")),
+    "nat": Command(_nat, "the group of natural transformations", ("functor", "other")),
+    "w": Command(_w, "the module the functor's reflection represents", ("functor",)),
+    "fourterm": Command(_fourterm, "the four-term exact sequence", ("functor",)),
+    "r0": Command(_r0, "the representable reflection and its unit", ("functor",)),
+    "l0": Command(_l0, "the tensor coreflection and its counit", ("functor",)),
+    "stab-inj": Command(_stab_inj, "the injective stabilization", ("functor",)),
+    "stab-proj": Command(_stab_proj, "the projective stabilization", ("functor",)),
+    "resolve": Command(_resolve, "an injective resolution of length at most 2", ("functor",)),
+    "is-rep": Command(_is_rep, "representability test", ("functor",)),
+    "is-inj": Command(_is_inj, "injectivity test", ("functor",)),
+    "check": Command(_check, "run the randomized verification suite"),
+    "random": Command(
+        _random,
+        "emit a seeded random instance",
+        options={
+            "--kind": {"required": True, "choices": ["module", "morphism", "functor", "nat", "ses"]},
+            # SUPPRESS: when absent here, the global --seed stands
+            "--seed": {"type": int, "default": argparse.SUPPRESS, "help": "same as the global --seed"},
+        },
+    ),
+}
+
+
 def run_command(ws: Workspace, args, out, battery) -> int:
     """Execute one subcommand against the workspace; returns exit code."""
-    cmd = args.command
-    if cmd == "eval":
-        f = ws.functor(args.functor)
-        a = ws.module(args.module)
-        out.write(f"{args.functor}({args.module}) = {_describe(evaluate(f, a))}\n")
-        return 0
-    if cmd == "nat":
-        f, g = ws.functor(args.functor), ws.functor(args.other)
-        ng = nat_group(f, g)
-        out.write(f"Nat({args.functor}, {args.other}) = {_describe(ng.group)}\n")
-        for i, rep in enumerate(ng.reps):
-            out.write(f"gen {i}: a = {render_matrix(rep.a.mat)}, b = {render_matrix(rep.b.mat)}\n")
-        return 0
-    if cmd == "w":
-        f = ws.functor(args.functor)
-        wf, k = w_of(f)
-        out.write(f"w({args.functor}) = {_describe(wf)}\n")
-        out.write(f"k: w({args.functor}) -> X = {render_matrix(k.mat)}\n")
-        return 0
-    if cmd == "fourterm":
-        f = ws.functor(args.functor)
-        ft = four_term(f)
-        out.write(f"w({args.functor}) = {_describe(ft.wf)}\n")
-        out.write(f"k = {render_matrix(ft.k.mat)}\n")
-        out.write(f"F0: presented by v = {render_matrix(ft.v.mat)} on {_describe(ft.coim)}\n")
-        out.write(f"F1: presented by k on {_describe(ft.wf)}\n")
-        for probe in battery.probes:
-            row = " -> ".join(
-                _describe(evaluate(g, probe))
-                for g in (ft.f0, f, ft.r0, ft.f1)
-            )
-            out.write(f"at {_describe(probe)}: 0 -> {row} -> 0\n")
-        ok = _print_exactness([ft.iota, ft.phi, ft.rho], battery, out)
-        return 0 if ok else 1
-    if cmd == "r0":
-        f = ws.functor(args.functor)
-        r0, unit = r0_functor(f)
-        wf = r0.pres.source
-        out.write(f"R0({args.functor}) = Hom({_describe(wf)}, -)\n")
-        out.write(f"unit a-component = {render_matrix(unit.a.mat)}\n")
-        return 0
-    if cmd == "l0":
-        f = ws.functor(args.functor)
-        l0, counit = l0_functor(f)
-        out.write(f"L0({args.functor}) = {_describe(evaluate(f, FpModule.free(ws.ring, 1)))} tensor -\n")
-        out.write(f"counit a-component = {render_matrix(counit.a.mat)}\n")
-        out.write(f"counit b-component = {render_matrix(counit.b.mat)}\n")
-        return 0
-    if cmd == "stab-inj":
-        f = ws.functor(args.functor)
-        st = inj_stabilize(f)
-        out.write(f"stable({args.functor}) presented by {render_matrix(st.pres.mat)}\n")
-        out.write(f"injectively stable: {'true' if is_inj_stable(f) else 'false'}\n")
-        for probe in battery.probes:
-            out.write(f"at {_describe(probe)}: {_describe(evaluate(st, probe))}\n")
-        return 0
-    if cmd == "stab-proj":
-        f = ws.functor(args.functor)
-        st = proj_stabilize(f)
-        out.write(f"stabilization presented by {render_matrix(st.pres.mat)}\n")
-        out.write(f"projectively stable: {'true' if is_proj_stable(f) else 'false'}\n")
-        for probe in battery.probes:
-            out.write(f"at {_describe(probe)}: {_describe(evaluate(st, probe))}\n")
-        return 0
-    if cmd == "resolve":
-        f = ws.functor(args.functor)
-        res = injective_resolution(f)
-        names = ["I0", "I1", "I2"]
-        for name, term in zip(names, res.terms):
-            pres = term.pres
-            out.write(
-                f"{name}: {_describe(pres.source)} -> {_describe(pres.target)}"
-                f" via {render_matrix(pres.mat)}\n"
-            )
-        out.write(f"map F->I0 a-component: {render_matrix(res.maps[0].a.mat)}\n")
-        out.write(f"map I0->I1 a-component: {render_matrix(res.maps[1].a.mat)}\n")
-        out.write(f"map I1->I2 a-component: {render_matrix(res.maps[2].a.mat)}\n")
-        length = 0
-        for idx, term in enumerate(res.terms):
-            if not is_zero_functor(term):
-                length = idx
-        out.write(f"length: {length}\n")
-        for probe in battery.probes:
-            row = " -> ".join(_describe(evaluate(t, probe)) for t in res.terms)
-            out.write(f"at {_describe(probe)}: 0 -> {_describe(evaluate(f, probe))} -> {row} -> 0\n")
-        ok = _print_exactness(list(res.maps), battery, out)
-        return 0 if ok else 1
-    if cmd == "is-rep":
-        f = ws.functor(args.functor)
-        out.write("true\n" if is_representable(f) else "false\n")
-        return 0
-    if cmd == "is-inj":
-        f = ws.functor(args.functor)
-        out.write("true\n" if is_injective_functor(f) else "false\n")
-        return 0
-    if cmd == "check":
-        reports = oracle.verify_theorems(
-            battery=battery, ring=battery.ring, seed=battery.seed, cases=battery.case_count
-        )
-        failed = False
-        for rep in reports:
-            out.write(rep.line() + "\n")
-            sys.stderr.write(f"{rep.name}: {rep.seconds:.2f}s\n")
-            if not rep.passed:
-                failed = True
-                for failure in rep.failures[:3]:
-                    out.write(f"  counterexample: {json.dumps(failure, sort_keys=True)}\n")
-        return 1 if failed else 0
-    if cmd == "random":
-        inst = oracle.random_instance(args.kind, args.seed, ring=battery.ring)
-        builder = PayloadBuilder(battery.ring)
-        if isinstance(inst, oracle.ShortExactSequence):
-            instance_into(builder, inst.incl)
-            instance_into(builder, inst.proj)
-        else:
-            instance_into(builder, inst)
-        out.write(json.dumps(builder.to_dict(), indent=2, sort_keys=True) + "\n")
-        return 0
-    raise WorkspaceError(f"unknown command {cmd!r}")
+    return COMMANDS[args.command].run(ws, args, out, battery)
+
+
+def _ring_arg(text: str) -> BaseRing:
+    try:
+        return ring_from_str(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _count_arg(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,33 +390,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--input", help="workspace JSON file")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--cases", type=int, default=100, help="cases per randomized check")
+    parser.add_argument("--cases", type=_count_arg, default=100, help="cases per randomized check")
     parser.add_argument("--battery", help="comma list of probes, e.g. Z,Z/2,Z+Z/2")
-    parser.add_argument("--ring", default=None, help="Z or Fp:<prime> (when no input file)")
+    parser.add_argument("--ring", type=_ring_arg, help="Z or Fp:<prime> (when no input file)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def f_cmd(name, help_text, extra=()):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("functor")
-        for extra_name in extra:
-            p.add_argument(extra_name)
-        return p
-
-    f_cmd("eval", "evaluate a functor at a module", extra=("module",))
-    f_cmd("nat", "the group of natural transformations", extra=("other",))
-    f_cmd("w", "the module the functor's reflection represents")
-    f_cmd("fourterm", "the four-term exact sequence")
-    f_cmd("r0", "the representable reflection and its unit")
-    f_cmd("l0", "the tensor coreflection and its counit")
-    f_cmd("stab-inj", "the injective stabilization")
-    f_cmd("stab-proj", "the projective stabilization")
-    f_cmd("resolve", "an injective resolution of length at most 2")
-    f_cmd("is-rep", "representability test")
-    f_cmd("is-inj", "injectivity test")
-    sub.add_parser("check", help="run the randomized verification suite")
-    rnd = sub.add_parser("random", help="emit a seeded random instance")
-    rnd.add_argument("--kind", required=True, choices=["module", "morphism", "functor", "nat", "ses"])
-    rnd.add_argument("--seed", type=int, default=0)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.args:
+            p.add_argument(arg)
+        for flag, settings in command.options.items():
+            p.add_argument(flag, **settings)
     return parser
 
 
@@ -381,18 +414,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if args.input:
             with open(args.input, "r", encoding="utf-8") as handle:
                 ws = parse_workspace(handle.read())
-            ring = ws.ring
-            if args.ring is not None and ring_from_str(args.ring) != ring:
+            if args.ring is not None and args.ring != ws.ring:
                 raise WorkspaceError("--ring conflicts with the workspace ring")
         else:
-            ring = ring_from_str(args.ring) if args.ring else BaseRing.integers()
-            ws = Workspace(ring=ring)
-        battery = _battery_from_spec(ring, args.battery, args.seed, args.cases)
+            ws = Workspace(ring=args.ring or BaseRing.integers())
+        battery = _battery_from_spec(ws.ring, args.battery)
         return run_command(ws, args, out, battery)
-    except WorkspaceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (WorkspaceError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

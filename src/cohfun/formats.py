@@ -46,9 +46,10 @@ def matrix_from_obj(ring: BaseRing, obj, where: str = "matrix") -> Matrix:
     if missing:
         raise ValueError(f"{where}: missing fields {sorted(missing)}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    # type(...) is int: JSON true/false would pass isinstance(x, int)
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
         raise ValueError(f"{where}: rows/cols must be nonnegative integers")
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not isinstance(data, list) or not all(type(x) is int for x in data):
         raise ValueError(f"{where}: data must be a list of integers")
     if len(data) != rows * cols:
         raise ValueError(
@@ -70,15 +71,23 @@ def render_matrix(m: Matrix) -> str:
 class PayloadBuilder:
     """Accumulates instances into one self-contained workspace dict."""
 
-    def __init__(self, ring: BaseRing):
+    def __init__(
+        self,
+        ring: BaseRing,
+        modules: dict[str, FpModule] | None = None,
+        morphisms: dict[str, ModMorphism] | None = None,
+        functors: dict[str, CoherentFunctor] | None = None,
+        nats: dict[str, NatMorphism] | None = None,
+    ):
+        """Start empty, or from instances that already have names."""
         self.ring = ring
-        self.modules: dict[str, FpModule] = {}
-        self.morphisms: dict[str, ModMorphism] = {}
-        self.functors: dict[str, CoherentFunctor] = {}
-        self.nats: dict[str, NatMorphism] = {}
-        self._module_names: dict[FpModule, str] = {}
-        self._morphism_names: dict[tuple, str] = {}
-        self._functor_names: dict[tuple, str] = {}
+        self.modules = dict(modules or {})
+        self.morphisms = dict(morphisms or {})
+        self.functors = dict(functors or {})
+        self.nats = dict(nats or {})
+        self._module_names = {m: n for n, m in self.modules.items()}
+        self._morphism_names = {phi.key(): n for n, phi in self.morphisms.items()}
+        self._functor_names = {f._key(): n for n, f in self.functors.items()}
 
     def add_module(self, m: FpModule, hint: str = "M") -> str:
         if m in self._module_names:

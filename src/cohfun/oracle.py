@@ -17,13 +17,23 @@ import random
 import time
 from dataclasses import dataclass
 
-from .linalg import BaseRing, Matrix, express, hstack, preimage_lattice, solve_matrix
+from .linalg import (
+    BaseRing,
+    Matrix,
+    block_diag,
+    express,
+    hstack,
+    preimage_lattice,
+    solve_matrix,
+    vstack,
+)
 from .modules import (
     FpModule,
     ModMorphism,
     canonical_form,
     cokernel_mor,
     compose_mor,
+    direct_sum,
     hom_group,
     identity_mor,
     image_mor,
@@ -70,8 +80,6 @@ class ProbeBattery:
     """The modules every pointwise check is evaluated at."""
 
     probes: tuple[FpModule, ...]
-    seed: int = 0
-    case_count: int = 100
 
     def __post_init__(self) -> None:
         if not self.probes:
@@ -85,7 +93,7 @@ class ProbeBattery:
         return self.probes[0].ring
 
 
-def default_battery(ring: BaseRing, seed: int = 0, case_count: int = 100) -> ProbeBattery:
+def default_battery(ring: BaseRing) -> ProbeBattery:
     if ring.is_field:
         probes = tuple(FpModule.free(ring, n) for n in (1, 2, 3))
     else:
@@ -100,7 +108,7 @@ def default_battery(ring: BaseRing, seed: int = 0, case_count: int = 100) -> Pro
             FpModule.cyclic(ring, 8),
             FpModule.cyclic(ring, 9),
         )
-    return ProbeBattery(probes=probes, seed=seed, case_count=case_count)
+    return ProbeBattery(probes=probes)
 
 
 @dataclass(frozen=True)
@@ -200,18 +208,13 @@ def _enum_homs(src: FpModule, elems: _Elements, cap: int) -> list[tuple]:
     return out
 
 
-def _flat_group_invariants(
-    elements: list[tuple], moduli: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Invariant factors of a finite group given as flat tuples.
+def _group_invariants(elements: list, killed) -> tuple[int, ...]:
+    """Invariant factors of a finite group given by its element list.
 
-    Determined purely by counting solutions of p^j * x == 0, prime by
-    prime, so the answer owes nothing to Smith normal form.
+    ``killed(c, z)`` says whether c * z is zero.  Determined purely by
+    counting solutions of p^j * x == 0, prime by prime, so the answer
+    owes nothing to Smith normal form.
     """
-
-    def smul(c, z):
-        return tuple((c * a) % m for a, m in zip(z, moduli))
-
     n = len(elements)
     if n <= 1:
         return ()
@@ -231,7 +234,7 @@ def _flat_group_invariants(
         lam = [0]
         j = 1
         while True:
-            cnt = sum(1 for z in elements if not any(smul(p ** j, z)))
+            cnt = sum(1 for z in elements if killed(p ** j, z))
             e = 0
             while p ** e < cnt:
                 e += 1
@@ -272,7 +275,11 @@ def brute_hom(a: FpModule, b: FpModule, cap: int = DEFAULT_ENUM_CAP) -> FpModule
     elems = _Elements(b, cap)
     homs = _enum_homs(a, elems, cap)
     moduli = elems.moduli * a.gens
-    return _type_module(a.ring, len(homs), _flat_group_invariants(homs, moduli))
+
+    def killed(c, z):
+        return not any((c * x) % m for x, m in zip(z, moduli))
+
+    return _type_module(a.ring, len(homs), _group_invariants(homs, killed))
 
 
 def brute_eval(f: CoherentFunctor, a: FpModule, cap: int = DEFAULT_ENUM_CAP) -> FpModule:
@@ -313,59 +320,12 @@ def brute_eval(f: CoherentFunctor, a: FpModule, cap: int = DEFAULT_ENUM_CAP) -> 
         return min(add_flat(z, s) for s in image)
 
     cosets = sorted({coset_key(z) for z in homs_x})
+    zero_key = coset_key(tuple(0 for _ in moduli))
 
-    def smul(c, z):
-        # scalar action on coset representatives
-        return coset_key(tuple((c * p) % m for p, m in zip(z, moduli)))
+    def killed(c, z):
+        return coset_key(tuple((c * p) % m for p, m in zip(z, moduli))) == zero_key
 
-    elements = cosets
-    n = len(elements)
-    if n <= 1:
-        factors: tuple[int, ...] = ()
-    else:
-        factors_by_prime: dict[int, list[int]] = {}
-        rest = n
-        p = 2
-        primes = []
-        while p * p <= rest:
-            if rest % p == 0:
-                primes.append(p)
-                while rest % p == 0:
-                    rest //= p
-            p += 1
-        if rest > 1:
-            primes.append(rest)
-        zero_key = coset_key(tuple(0 for _ in moduli))
-        for p in primes:
-            lam = [0]
-            j = 1
-            while True:
-                cnt = sum(1 for z in elements if smul(p ** j, z) == zero_key)
-                e = 0
-                while p ** e < cnt:
-                    e += 1
-                if p ** e != cnt:
-                    raise AssertionError("non-group count in quotient recovery")
-                lam.append(e)
-                if len(lam) > 2 and lam[-1] == lam[-2]:
-                    break
-                j += 1
-            mu = [lam[i] - lam[i - 1] for i in range(1, len(lam))]
-            exps = []
-            for i, m_geq in enumerate(mu):
-                nxt = mu[i + 1] if i + 1 < len(mu) else 0
-                exps.extend([i + 1] * (m_geq - nxt))
-            factors_by_prime[p] = sorted(exps, reverse=True)
-        width_f = max(len(v) for v in factors_by_prime.values())
-        inv = []
-        for k in range(width_f):
-            d = 1
-            for p, exps in factors_by_prime.items():
-                if k < len(exps):
-                    d *= p ** exps[k]
-            inv.append(d)
-        factors = tuple(d for d in reversed(inv) if d > 1)
-    return _type_module(f.ring, len(cosets), factors)
+    return _type_module(f.ring, len(cosets), _group_invariants(cosets, killed))
 
 
 # ---------------------------------------------------------------------------
@@ -885,26 +845,19 @@ def check_w_presentation_independence(ring: BaseRing, seed: int, cases: int) -> 
         f = random_functor(rng, ring, bounds)
         wf, _ = w_of(f)
         w_pad = random_module(rng, ring, bounds)
-        from .linalg import block_diag
-        from .modules import direct_sum as dsum
-
-        sx, _, _, _, _ = dsum(f.source_module, w_pad)
-        sy, _, _, _, _ = dsum(f.target_module, w_pad)
+        sx, _, _, _, _ = direct_sum(f.source_module, w_pad)
+        sy, _, _, _, _ = direct_sum(f.target_module, w_pad)
         padded = CoherentFunctor(
             ModMorphism(sx, sy, block_diag(f.pres.mat, Matrix.identity(ring, w_pad.gens)))
         )
-        expect_rank = wf.rank
         got, _ = w_of(padded)
         if canonical_form(got) != canonical_form(wf):
             return {"instance": instance_payload(f), "move": "block-identity"}
         s = random_morphism(rng, f.target_module, random_module(rng, ring, bounds), bounds)
-        from .linalg import vstack as vs
-        from .modules import direct_sum as ds2
-
-        sy2, _, _, _, _ = ds2(f.target_module, s.target)
+        sy2, _, _, _, _ = direct_sum(f.target_module, s.target)
         stacked = CoherentFunctor(
             ModMorphism(
-                f.source_module, sy2, vs(f.pres.mat, compose_mor(s, f.pres).mat)
+                f.source_module, sy2, vstack(f.pres.mat, compose_mor(s, f.pres).mat)
             )
         )
         got2, _ = w_of(stacked)
@@ -1114,7 +1067,7 @@ def verify_theorems(
 ) -> list[CheckReport]:
     """Run the full invariant suite; all-pass is the acceptance gate."""
     ring = ring or (battery.ring if battery else BaseRing.integers())
-    battery = battery or default_battery(ring, seed=seed, case_count=cases)
+    battery = battery or default_battery(ring)
     heavy = max(1, cases // 4) if cases else 0
     reports = [
         check_snf_contract(ring, seed, 10 * cases),

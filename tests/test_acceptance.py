@@ -60,7 +60,7 @@ from cohfun.oracle import (
 Z = BaseRing.integers()
 F5 = BaseRing.prime_field(5)
 SEED = 0
-BATTERY = default_battery(Z, seed=SEED)
+BATTERY = default_battery(Z)
 BOUNDS = Bounds(gens=4, rels=4, entry=4)
 
 

@@ -171,6 +171,36 @@ class TestCommands:
         assert "at Z^1: 0" in text and "at Z/4: 0" in text
         assert "Z/8" not in text
 
+    def test_global_and_subcommand_seed_agree(self):
+        _, seed5 = run_cli(["random", "--kind", "functor", "--seed", "5"])
+        _, global5 = run_cli(["--seed", "5", "random", "--kind", "functor"])
+        _, seed0 = run_cli(["random", "--kind", "functor"])
+        assert global5 == seed5 != seed0
+
+    @pytest.mark.parametrize(
+        "argv, module, named",
+        [
+            (["--ring", "Fp:4", "check"], None, "--ring"),
+            (["--ring", "Fp:65537", "check"], None, "--ring"),
+            (["--battery", "Z/abc", "check"], None, "--battery"),
+            (["--battery", "Z^-1", "check"], None, "--battery"),
+            (["--battery", ",", "check"], None, "--battery"),
+            (["--cases", "-5", "check"], None, "--cases"),
+            (["w", "F"], {"gens": True, "rels": {"rows": 1, "cols": 0, "data": []}}, "modules.A.gens"),
+            (["w", "F"], {"gens": 1, "rels": {"rows": 1, "cols": 1, "data": [True]}}, "modules.A.rels"),
+        ],
+    )
+    def test_bad_input_exit_2(self, argv, module, named, tmp_path, capsys):
+        if module is not None:
+            path = tmp_path / "ws.json"
+            path.write_text(json.dumps({"ring": "Z", "modules": {"A": module}}))
+            argv = ["--input", str(path)] + argv
+        code, text = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert "Traceback" not in err
+        assert any("error:" in line and named in line for line in err.splitlines()), err
+
     def test_every_operation_reachable(self):
         # each library operation has a subcommand
         from cohfun.cli import build_parser
@@ -193,6 +223,10 @@ class TestGolden:
     def test_worked_yoneda_golden(self):
         got = run_script("worked_yoneda.json", YONEDA_COMMANDS)
         assert got == (GOLDEN / "worked_yoneda.txt").read_text()
+
+    def test_stab_proj_and_random_ses_golden(self):
+        got = run_script("worked_quotient.json", ["stab-proj F", "random --kind ses --seed 1"])
+        assert got == (GOLDEN / "stab_proj_random_ses.txt").read_text()
 
     def test_byte_identical_across_runs(self):
         first = run_script("worked_quotient.json", QUOTIENT_COMMANDS)
