@@ -94,11 +94,27 @@ def parse_workspace(text: str) -> Workspace:
         raise WorkspaceError(f"unknown top-level fields {sorted(unknown)}")
     if "ring" not in raw:
         raise WorkspaceError("workspace is missing the ring declaration")
+    if not isinstance(raw["ring"], str):
+        raise WorkspaceError("ring: expected a string such as Z or Fp:5")
     try:
         ring = ring_from_str(raw["ring"])
     except ValueError as exc:
         raise WorkspaceError(str(exc)) from None
     ws = Workspace(ring=ring)
+
+    def section(key: str) -> dict:
+        value = raw.get(key, {})
+        if not isinstance(value, dict):
+            raise WorkspaceError(f"{key}: expected an object of named entries")
+        return value
+
+    def ref(spec: dict, key: str, table: dict, kind: str, where: str):
+        name = spec[key]
+        if not isinstance(name, str):
+            raise WorkspaceError(f"{where}.{key}: expected a {kind} name")
+        if name not in table:
+            raise WorkspaceError(f"{where}.{key}: unknown {kind} {name!r}")
+        return table[name]
 
     def matrix(obj, where: str):
         try:
@@ -106,7 +122,7 @@ def parse_workspace(text: str) -> Workspace:
         except ValueError as exc:
             raise WorkspaceError(str(exc)) from None
 
-    for name, spec in (raw.get("modules") or {}).items():
+    for name, spec in section("modules").items():
         where = f"modules.{name}"
         if not isinstance(spec, dict) or set(spec) != {"gens", "rels"}:
             raise WorkspaceError(f"{where}: expected fields gens, rels")
@@ -120,38 +136,30 @@ def parse_workspace(text: str) -> Workspace:
             )
         ws.modules[name] = FpModule(ring, gens, rels)
 
-    for name, spec in (raw.get("morphisms") or {}).items():
+    for name, spec in section("morphisms").items():
         where = f"morphisms.{name}"
         if not isinstance(spec, dict) or set(spec) != {"source", "target", "mat"}:
             raise WorkspaceError(f"{where}: expected fields source, target, mat")
-        for end in ("source", "target"):
-            if spec[end] not in ws.modules:
-                raise WorkspaceError(f"{where}.{end}: unknown module {spec[end]!r}")
+        src = ref(spec, "source", ws.modules, "module", where)
+        tgt = ref(spec, "target", ws.modules, "module", where)
         mat = matrix(spec["mat"], f"{where}.mat")
         try:
-            ws.morphisms[name] = ModMorphism(
-                ws.modules[spec["source"]], ws.modules[spec["target"]], mat
-            )
+            ws.morphisms[name] = ModMorphism(src, tgt, mat)
         except ValueError as exc:
             raise WorkspaceError(f"{where}: {exc}") from None
 
-    for name, spec in (raw.get("functors") or {}).items():
+    for name, spec in section("functors").items():
         where = f"functors.{name}"
         if not isinstance(spec, dict) or set(spec) != {"pres"}:
             raise WorkspaceError(f"{where}: expected field pres")
-        if spec["pres"] not in ws.morphisms:
-            raise WorkspaceError(f"{where}.pres: unknown morphism {spec['pres']!r}")
-        ws.functors[name] = CoherentFunctor(ws.morphisms[spec["pres"]])
+        ws.functors[name] = CoherentFunctor(ref(spec, "pres", ws.morphisms, "morphism", where))
 
-    for name, spec in (raw.get("nats") or {}).items():
+    for name, spec in section("nats").items():
         where = f"nats.{name}"
         if not isinstance(spec, dict) or set(spec) != {"source", "target", "a", "b"}:
             raise WorkspaceError(f"{where}: expected fields source, target, a, b")
-        for end in ("source", "target"):
-            if spec[end] not in ws.functors:
-                raise WorkspaceError(f"{where}.{end}: unknown functor {spec[end]!r}")
-        src = ws.functors[spec["source"]]
-        tgt = ws.functors[spec["target"]]
+        src = ref(spec, "source", ws.functors, "functor", where)
+        tgt = ref(spec, "target", ws.functors, "functor", where)
         a = matrix(spec["a"], f"{where}.a")
         b = matrix(spec["b"], f"{where}.b")
         try:

@@ -20,6 +20,8 @@ of length at most two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 from .linalg import Matrix, express, hstack, solve_matrix, vstack
 from .modules import (
@@ -128,23 +130,15 @@ class Evaluation:
         return self.hom_y.from_coords(beta)
 
 
-_EVAL_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _evaluation(f: CoherentFunctor, at: FpModule) -> Evaluation:
-    key = (f._key(), at)
-    hit = _EVAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     pres = f.pres
     hx = hom_group(pres.source, at)
     hy = hom_group(pres.target, at)
     cols = [hx.coords(compose_mor(rep, pres)) for rep in hy.reps]
     precomp = _from_cols(f.ring, hx.group.gens, cols)
     module = FpModule(f.ring, hx.group.gens, hstack(hx.group.rels, precomp))
-    ev = Evaluation(functor=f, at=at, hom_x=hx, hom_y=hy, precomp=precomp, module=module)
-    _EVAL_CACHE[key] = ev
-    return ev
+    return Evaluation(functor=f, at=at, hom_x=hx, hom_y=hy, precomp=precomp, module=module)
 
 
 def evaluate(f: CoherentFunctor, a: FpModule) -> FpModule:
@@ -314,6 +308,22 @@ def nat_group(f: CoherentFunctor, g: CoherentFunctor) -> NatGroup:
         _ev_x=ev_x,
         _incl=incl,
     )
+
+
+def nat_lift(
+    domain: NatGroup,
+    codomain: NatGroup,
+    along: Callable[[NatMorphism], NatMorphism],
+    target: NatMorphism,
+) -> Matrix | None:
+    """Coordinates in ``domain`` of a preimage of ``target`` under ``along``.
+
+    ``along`` composes with one fixed transformation, a group map from
+    ``domain`` to ``codomain``; None when ``target`` is not in its image.
+    """
+    cols = [codomain.coords(along(rep)) for rep in domain.reps]
+    comp = _from_cols(codomain.source.ring, codomain.group.gens, cols)
+    return express(comp, codomain.group.rels, codomain.coords(target))
 
 
 def w_of(f: CoherentFunctor) -> tuple[FpModule, ModMorphism]:
@@ -578,9 +588,7 @@ def is_injective_functor(f: CoherentFunctor) -> bool:
     ring = f.ring
     if h == f and j.a.mat == Matrix.identity(ring, f.source_module.gens):
         return True
-    nhf = nat_group(h, f)
-    nff = nat_group(f, f)
-    cols = [nff.coords(compose_nat(gamma, j)) for gamma in nhf.reps]
-    comp = _from_cols(ring, nff.group.gens, cols)
-    idc = nff.coords(identity_nat(f))
-    return express(comp, nff.group.rels, idc) is not None
+    split = nat_lift(
+        nat_group(h, f), nat_group(f, f), lambda gamma: compose_nat(gamma, j), identity_nat(f)
+    )
+    return split is not None

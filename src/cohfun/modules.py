@@ -77,23 +77,6 @@ class FpModule:
     def is_free(self) -> bool:
         return self.rels.is_zero
 
-    @property
-    def is_finite(self) -> bool:
-        if self.ring.is_field:
-            return True
-        return self.rank == 0
-
-    def cardinality(self) -> int | None:
-        """Number of elements, or None when infinite."""
-        if self.ring.is_field:
-            return self.ring.p ** self.rank
-        if self.rank > 0:
-            return None
-        n = 1
-        for d in self.invariant_factors:
-            n *= abs(d)
-        return n
-
     def describe(self) -> str:
         return render_group(self.ring, self.rank, self.invariant_factors)
 
@@ -285,7 +268,10 @@ class HomGroup:
         return ModMorphism(self.source, self.target, mat)
 
 
-def _hom_group_uncached(a: FpModule, b: FpModule) -> HomGroup:
+@lru_cache(maxsize=None)
+def hom_group(a: FpModule, b: FpModule) -> HomGroup:
+    if a.ring != b.ring:
+        raise ValueError("Hom between modules over different rings")
     ring = a.ring
     na, ma = a.gens, a.rels.cols
     nb, mb = b.gens, b.rels.cols
@@ -307,17 +293,6 @@ def _hom_group_uncached(a: FpModule, b: FpModule) -> HomGroup:
         ModMorphism(a, b, unvec(ring, gen_mat.col(j), nb, na)) for j in range(gen_mat.cols)
     )
     return HomGroup(source=a, target=b, group=group, reps=reps, gen_mat=gen_mat)
-
-
-@lru_cache(maxsize=None)
-def _hom_group_cached(a: FpModule, b: FpModule) -> HomGroup:
-    return _hom_group_uncached(a, b)
-
-
-def hom_group(a: FpModule, b: FpModule) -> HomGroup:
-    if a.ring != b.ring:
-        raise ValueError("Hom between modules over different rings")
-    return _hom_group_cached(a, b)
 
 
 def tensor_module(a: FpModule, b: FpModule) -> FpModule:

@@ -12,6 +12,10 @@ GOLDEN = Path(__file__).parent / "golden"
 QUOTIENT_COMMANDS = ["w F", "fourterm F", "r0 F", "l0 F", "stab-inj F", "is-rep F"]
 YONEDA_COMMANDS = ["resolve G", "is-inj G", "w G", "eval G C2", "nat G G"]
 
+EMPTY_RELS = {"rows": 1, "cols": 0, "data": []}
+TRUE_RELS = {"rows": 1, "cols": 1, "data": [True]}
+ONE = {"rows": 1, "cols": 1, "data": [1]}
+
 
 def run_cli(argv) -> tuple[int, str]:
     out = io.StringIO()
@@ -178,7 +182,7 @@ class TestCommands:
         assert global5 == seed5 != seed0
 
     @pytest.mark.parametrize(
-        "argv, module, named",
+        "argv, workspace, named",
         [
             (["--ring", "Fp:4", "check"], None, "--ring"),
             (["--ring", "Fp:65537", "check"], None, "--ring"),
@@ -186,14 +190,23 @@ class TestCommands:
             (["--battery", "Z^-1", "check"], None, "--battery"),
             (["--battery", ",", "check"], None, "--battery"),
             (["--cases", "-5", "check"], None, "--cases"),
-            (["w", "F"], {"gens": True, "rels": {"rows": 1, "cols": 0, "data": []}}, "modules.A.gens"),
-            (["w", "F"], {"gens": 1, "rels": {"rows": 1, "cols": 1, "data": [True]}}, "modules.A.rels"),
+            (["w", "F"], {"ring": "Z", "modules": {"A": {"gens": True, "rels": EMPTY_RELS}}},
+             "modules.A.gens"),
+            (["w", "F"], {"ring": "Z", "modules": {"A": {"gens": 1, "rels": TRUE_RELS}}},
+             "modules.A.rels"),
+            (["w", "F"], {"ring": 5}, "ring"),
+            (["w", "F"], {"ring": "Z", "modules": [1]}, "modules"),
+            (["w", "F"], {"ring": "Z", "modules": []}, "modules"),
+            (["w", "F"], {"ring": "Z", "modules": {"A": {"gens": 1, "rels": EMPTY_RELS}},
+                          "morphisms": {"f": {"source": ["A"], "target": "A", "mat": ONE}}},
+             "morphisms.f.source"),
+            (["w", "F"], {"ring": "Z", "functors": {"F": {"pres": ["x"]}}}, "functors.F.pres"),
         ],
     )
-    def test_bad_input_exit_2(self, argv, module, named, tmp_path, capsys):
-        if module is not None:
+    def test_bad_input_exit_2(self, argv, workspace, named, tmp_path, capsys):
+        if workspace is not None:
             path = tmp_path / "ws.json"
-            path.write_text(json.dumps({"ring": "Z", "modules": {"A": module}}))
+            path.write_text(json.dumps(workspace))
             argv = ["--input", str(path)] + argv
         code, text = run_cli(argv)
         err = capsys.readouterr().err

@@ -229,3 +229,24 @@ class TestReports:
         assert all(r.passed for r in reports), [r.name for r in reports if not r.passed]
         names = {r.name for r in reports}
         assert {"yoneda", "coyoneda", "four-term", "resolutions", "w-exactness"} <= names
+
+    @pytest.mark.parametrize("cases", [0, 1, 4])
+    @pytest.mark.parametrize("ring", [Z, BaseRing.prime_field(5)], ids=["Z", "Fp5"])
+    def test_report_names_and_counts_pinned(self, ring, cases):
+        half = max(1, cases // 2) if cases else 0
+        heavy = max(1, cases // 4) if cases else 0
+        expected = [
+            ("snf-contract", 10 * cases), ("solve-oracle", 2 * cases),
+            ("yoneda", cases), ("coyoneda", cases), ("representable-values", half),
+            ("adjunction", cases), ("four-term", heavy), ("w-exactness", heavy),
+            ("w-presentation-independence", cases), ("vanishing", cases),
+            ("representables-projective", heavy), ("equivalence", heavy),
+            ("functoriality", heavy), ("stabilization", heavy), ("resolutions", heavy),
+        ]
+        if ring.is_field:
+            expected.append(("semisimple-collapse", cases))
+        else:
+            expected[2:2] = [("hom-oracle", cases), ("brute-eval-agreement", 3 * cases)]
+        reports = verify_theorems(ring=ring, seed=0, cases=cases)
+        assert [(r.name, r.cases) for r in reports] == expected
+        assert len(expected) == (16 if ring.is_field else 17)
