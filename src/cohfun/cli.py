@@ -421,7 +421,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
     try:
         if args.input:
             with open(args.input, "r", encoding="utf-8") as handle:
-                ws = parse_workspace(handle.read())
+                try:
+                    text = handle.read()
+                except UnicodeDecodeError as exc:
+                    raise WorkspaceError(
+                        f"{args.input}: not UTF-8 text (byte {exc.start})"
+                    ) from None
+            ws = parse_workspace(text)
             if args.ring is not None and args.ring != ws.ring:
                 raise WorkspaceError("--ring conflicts with the workspace ring")
         else:

@@ -87,12 +87,6 @@ def yoneda_mor(m: ModMorphism) -> "NatMorphism":
     )
 
 
-def _from_cols(ring, rows: int, cols: list[Matrix]) -> Matrix:
-    if not cols:
-        return Matrix.zeros(ring, rows, 0)
-    return hstack(*cols)
-
-
 @dataclass(frozen=True, eq=False)
 class Evaluation:
     """F(at) together with the data needed to move elements around.
@@ -135,8 +129,7 @@ def _evaluation(f: CoherentFunctor, at: FpModule) -> Evaluation:
     pres = f.pres
     hx = hom_group(pres.source, at)
     hy = hom_group(pres.target, at)
-    cols = [hx.coords(compose_mor(rep, pres)) for rep in hy.reps]
-    precomp = _from_cols(f.ring, hx.group.gens, cols)
+    precomp = hx.coords_all([compose_mor(rep, pres) for rep in hy.reps])
     module = FpModule(f.ring, hx.group.gens, hstack(hx.group.rels, precomp))
     return Evaluation(functor=f, at=at, hom_x=hx, hom_y=hy, precomp=precomp, module=module)
 
@@ -152,8 +145,7 @@ def evaluate_mor(f: CoherentFunctor, phi: ModMorphism) -> ModMorphism:
     """The induced map F(phi) : F(source) -> F(target) by postcomposition."""
     ev_a = _evaluation(f, phi.source)
     ev_b = _evaluation(f, phi.target)
-    cols = [ev_b.class_of(compose_mor(phi, rep)) for rep in ev_a.hom_x.reps]
-    mat = _from_cols(f.ring, ev_b.module.gens, cols)
+    mat = ev_b.hom_x.coords_all([compose_mor(phi, rep) for rep in ev_a.hom_x.reps])
     return ModMorphism(ev_a.module, ev_b.module, mat)
 
 
@@ -237,8 +229,7 @@ def evaluate_nat(alpha: NatMorphism, a: FpModule) -> ModMorphism:
     """The component alpha_a : source(a) -> target(a)."""
     ev_s = _evaluation(alpha.source, a)
     ev_t = _evaluation(alpha.target, a)
-    cols = [ev_t.class_of(compose_mor(rep, alpha.a)) for rep in ev_s.hom_x.reps]
-    mat = _from_cols(a.ring, ev_t.module.gens, cols)
+    mat = ev_t.hom_x.coords_all([compose_mor(rep, alpha.a) for rep in ev_s.hom_x.reps])
     return ModMorphism(ev_s.module, ev_t.module, mat)
 
 
@@ -259,9 +250,14 @@ class NatGroup:
     _incl: ModMorphism
 
     def coords(self, alpha: NatMorphism) -> Matrix:
-        if alpha.source != self.source or alpha.target != self.target:
-            raise ValueError("transformation does not belong to this Nat group")
-        x = self._ev_x.class_of(alpha.a)
+        return self.coords_all([alpha])
+
+    def coords_all(self, alphas: list[NatMorphism]) -> Matrix:
+        """Coordinate columns of the transformations ``alphas``, side by side."""
+        for alpha in alphas:
+            if alpha.source != self.source or alpha.target != self.target:
+                raise ValueError("transformation does not belong to this Nat group")
+        x = self._ev_x.hom_x.coords_all([alpha.a for alpha in alphas])
         c = express(self._incl.mat, self._ev_x.module.rels, x)
         if c is None:
             raise ValueError("transformation escaped its Nat group; inconsistent data")
@@ -288,9 +284,10 @@ def nat_group(f: CoherentFunctor, g: CoherentFunctor) -> NatGroup:
         raise ValueError("functors live over different rings")
     ev_x = _evaluation(g, f.source_module)
     ev_y = _evaluation(g, f.target_module)
-    cols = [ev_y.class_of(compose_mor(f.pres, rep)) for rep in ev_x.hom_x.reps]
     gf = ModMorphism(
-        ev_x.module, ev_y.module, _from_cols(f.ring, ev_y.module.gens, cols)
+        ev_x.module,
+        ev_y.module,
+        ev_y.hom_x.coords_all([compose_mor(f.pres, rep) for rep in ev_x.hom_x.reps]),
     )
     k, incl = kernel_mor(gf)
     reps = []
@@ -321,8 +318,7 @@ def nat_lift(
     ``along`` composes with one fixed transformation, a group map from
     ``domain`` to ``codomain``; None when ``target`` is not in its image.
     """
-    cols = [codomain.coords(along(rep)) for rep in domain.reps]
-    comp = _from_cols(codomain.source.ring, codomain.group.gens, cols)
+    comp = codomain.coords_all([along(rep) for rep in domain.reps])
     return express(comp, codomain.group.rels, codomain.coords(target))
 
 

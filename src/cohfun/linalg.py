@@ -11,6 +11,8 @@ correctness bug, not a performance tweak.
 Conventions shared by the whole package:
 
 * matrices are immutable values that carry their ring;
+* entries over F_p are stored reduced to [0, p); entries over Z are
+  stored as they are, never normalized;
 * zero-sized matrices (0 x n, n x 0, 0 x 0) are ordinary values;
 * flattening is row-major, so vec(A @ X @ B) == kron(A, B.T) @ vec(X).
 """
@@ -117,18 +119,15 @@ class Matrix:
             raise ValueError("negative matrix dimensions")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        norm = self.ring.normalize
-        fixed = None
-        for i, row in enumerate(self.entries):
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix rows")
-            if self.ring.p is not None and any(x != norm(x) for x in row):
-                if fixed is None:
-                    fixed = [list(r) for r in self.entries]
-                fixed[i] = [norm(x) for x in row]
-        if fixed is not None:
+        cols = self.cols
+        if any(len(row) != cols for row in self.entries):
+            raise ValueError("ragged matrix rows")
+        p = self.ring.p
+        if p is not None and cols and any(
+            min(row) < 0 or max(row) >= p for row in self.entries
+        ):
             object.__setattr__(
-                self, "entries", tuple(tuple(r) for r in fixed)
+                self, "entries", tuple(tuple(x % p for x in row) for row in self.entries)
             )
 
     @staticmethod
@@ -184,7 +183,7 @@ class Matrix:
             raise ValueError(
                 f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        norm = self.ring.normalize
+        p = self.ring.p
         ocols = range(other.cols)
         out = []
         for row in self.entries:
@@ -194,7 +193,7 @@ class Matrix:
                     orow = other.entries[k]
                     for j in ocols:
                         acc[j] += a * orow[j]
-            out.append(tuple(norm(x) for x in acc))
+            out.append(tuple(acc) if p is None else tuple(x % p for x in acc))
         return Matrix(self.ring, self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -295,13 +294,14 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; pairs with row-major vec: vec(AXB) = kron(A, B.T) vec(X)."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch in kron")
-    norm = a.ring.normalize
+    p = a.ring.p
     rows = []
-    for i1 in range(a.rows):
-        arow = a.entries[i1]
-        for i2 in range(b.rows):
-            brow = b.entries[i2]
-            rows.append(tuple(norm(x * y) for x in arow for y in brow))
+    for arow in a.entries:
+        for brow in b.entries:
+            if p is None:
+                rows.append(tuple(x * y for x in arow for y in brow))
+            else:
+                rows.append(tuple(x * y % p for x in arow for y in brow))
     return Matrix(a.ring, a.rows * b.rows, a.cols * b.cols, tuple(rows))
 
 

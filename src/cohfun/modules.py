@@ -14,7 +14,7 @@ coarser test through canonical forms (free rank plus invariant factors).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import (
     BaseRing,
@@ -27,7 +27,6 @@ from .linalg import (
     smith_normal_form,
     solve_matrix,
     unvec,
-    vec,
     vstack,
 )
 
@@ -242,7 +241,8 @@ class HomGroup:
 
     ``reps`` realizes each generator as a genuine morphism; ``coords``
     and ``from_coords`` convert between morphisms and coordinate columns
-    (mutually inverse modulo the group's relations).
+    (mutually inverse modulo the group's relations).  ``coords_all``
+    expresses many morphisms with one solve.
     """
 
     source: FpModule
@@ -251,14 +251,35 @@ class HomGroup:
     reps: tuple[ModMorphism, ...]
     gen_mat: Matrix  # vec'd generator matrices, one column per generator
 
+    @cached_property
+    def _system(self) -> Matrix:
+        """[gen_mat | target relations on vec'd matrices], built once."""
+        ident = Matrix.identity(self.source.ring, self.source.gens)
+        return hstack(self.gen_mat, kron(self.target.rels, ident))
+
     def coords(self, phi: ModMorphism) -> Matrix:
-        if phi.source != self.source or phi.target != self.target:
-            raise ValueError("morphism does not belong to this Hom group")
-        zero_rels = kron(self.target.rels, Matrix.identity(self.source.ring, self.source.gens))
-        c = express(self.gen_mat, zero_rels, vec(phi.mat))
-        if c is None:
+        return self.coords_all([phi])
+
+    def coords_all(self, phis: list[ModMorphism]) -> Matrix:
+        """Coordinate columns of the morphisms ``phis``, side by side."""
+        for phi in phis:
+            if phi.source != self.source or phi.target != self.target:
+                raise ValueError("morphism does not belong to this Hom group")
+        # column k is vec(phis[k].mat); solving is column by column
+        rhs = Matrix(
+            self.source.ring,
+            self.gen_mat.rows,
+            len(phis),
+            tuple(
+                tuple(phi.mat.entries[i][j] for phi in phis)
+                for i in range(self.target.gens)
+                for j in range(self.source.gens)
+            ),
+        )
+        z = solve_matrix(self._system, rhs)
+        if z is None:
             raise ValueError("morphism is not generated; Hom group is inconsistent")
-        return c
+        return z.slice_rows(0, self.gen_mat.cols)
 
     def from_coords(self, coeffs: Matrix) -> ModMorphism:
         if coeffs.rows != self.group.gens or coeffs.cols != 1:

@@ -12,6 +12,7 @@ index, so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -475,20 +476,32 @@ def random_instance(kind: str, seed: int, ring: BaseRing | None = None, bounds: 
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _divisor_chains(max_order: int) -> tuple[tuple[int, ...], ...]:
+    """Chains d_1 | d_2 | ... of 1 to 3 entries >= 2 with product <= max_order.
+
+    Shorter chains come first, and chains of one length are in
+    lexicographic order, so ``rng.choice`` over the table is stable.
+    """
+
+    def extend(chain: tuple[int, ...], order: int, length: int):
+        if len(chain) == length:
+            yield chain
+            return
+        step = chain[-1] if chain else 1
+        d = max(step, 2)
+        while order * d <= max_order:
+            yield from extend(chain + (d,), order * d, length)
+            d += step
+
+    return tuple(c for length in (1, 2, 3) for c in extend((), 1, length))
+
+
 def random_finite_module(
     rng: random.Random, ring: BaseRing, max_order: int = 36
 ) -> FpModule:
     """A random finite module of bounded order with a scrambled presentation."""
-    chains = []
-    for k in (1, 2, 3):
-        for chain in itertools.product(range(2, max_order + 1), repeat=k):
-            ok = all(chain[i + 1] % chain[i] == 0 for i in range(k - 1))
-            order = 1
-            for d in chain:
-                order *= d
-            if ok and order <= max_order:
-                chains.append(chain)
-    chain = list(rng.choice(chains))
+    chain = list(rng.choice(_divisor_chains(max_order)))
     n = len(chain)
     m = Matrix.diagonal(ring, chain)
     rows = [list(r) for r in m.entries]

@@ -214,6 +214,15 @@ class TestCommands:
         assert "Traceback" not in err
         assert any("error:" in line and named in line for line in err.splitlines()), err
 
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe")
+        code, text = run_cli(["--input", str(path), "w", "F"])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert "Traceback" not in err
+        assert any("error:" in line and str(path) in line for line in err.splitlines()), err
+
     def test_every_operation_reachable(self):
         # each library operation has a subcommand
         from cohfun.cli import build_parser

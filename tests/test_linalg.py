@@ -299,3 +299,53 @@ def test_matrix_shape_validation():
         Matrix.from_rows(Z, [[1, 2], [3]])
     with pytest.raises(ValueError):
         hstack(Matrix.zeros(Z, 2, 1), Matrix.zeros(Z, 3, 1))
+
+
+class TestStorage:
+    def test_field_entries_reduced_on_construction(self):
+        m = Matrix.from_rows(F5, [[-1, 7, 5], [1, 2, 3]])
+        assert m.entries == ((4, 2, 0), (1, 2, 3))
+
+    def test_integer_entries_stored_unreduced(self):
+        m = Matrix.from_rows(Z, [[-1, 7, 5], [10 ** 30, -(10 ** 30), 0]])
+        assert m.entries == ((-1, 7, 5), (10 ** 30, -(10 ** 30), 0))
+
+    def test_ragged_rows_and_negative_dimensions_raise(self):
+        for ring in (Z, F5):
+            with pytest.raises(ValueError):
+                Matrix(ring, 2, 2, ((1, 2), (3,)))
+            with pytest.raises(ValueError):
+                Matrix(ring, 2, 2, ((1, 2), (3, 4, 5)))
+            with pytest.raises(ValueError):
+                Matrix(ring, -1, 0, ())
+            with pytest.raises(ValueError):
+                Matrix(ring, 0, -1, ())
+            with pytest.raises(ValueError):
+                Matrix(ring, 2, 1, ((1,),))
+
+    def test_empty_rows_allowed(self):
+        for ring in (Z, F5):
+            assert Matrix(ring, 3, 0, ((), (), ())).entries == ((), (), ())
+
+    def test_field_products_stay_reduced(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            a = rand_matrix(rng, F5, max_dim=4, lo=-20, hi=20)
+            cols = rng.randrange(0, 5)
+            b = Matrix.from_rows(
+                F5, [[rng.randrange(-20, 21) for _ in range(cols)] for _ in range(a.cols)], cols=cols
+            )
+            for m in (a @ b, kron(a, b)):
+                assert all(0 <= x < 5 for row in m.entries for x in row)
+            lifted = Matrix.from_rows(Z, a.entries, cols=a.cols) @ Matrix.from_rows(
+                Z, b.entries, cols=b.cols
+            )
+            assert (a @ b).entries == tuple(
+                tuple(x % 5 for x in row) for row in lifted.entries
+            )
+
+    def test_integer_products_unreduced(self):
+        a = Matrix.from_rows(Z, [[-3, 7]])
+        b = Matrix.from_rows(Z, [[5], [-9]])
+        assert (a @ b).entries == ((-78,),)
+        assert kron(a, b).entries == ((-15, 35), (27, -63))

@@ -24,6 +24,7 @@ from cohfun import (
     tensor_module,
     zero_mor,
 )
+from cohfun.linalg import hstack
 from cohfun.modules import coimage_mor, image_mor
 from cohfun.oracle import Bounds, brute_hom, random_module, random_morphism, _stream
 
@@ -131,6 +132,25 @@ class TestHom:
             c = h.coords(rep)
             again = h.from_coords(c)
             assert again == rep
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_coords_all_matches_per_morphism_coords(self, ring):
+        rng = _stream(4, f"coords-all-{ring}")
+        for _ in range(25):
+            a = random_module(rng, ring, Bounds())
+            b = random_module(rng, ring, Bounds())
+            h = hom_group(a, b)
+            phis = list(h.reps) + [random_morphism(rng, a, b, Bounds()) for _ in range(3)]
+            assert h.coords_all(phis) == hstack(*(h.coords(phi) for phi in phis))
+            assert h.coords_all([]) == Matrix.zeros(ring, h.group.gens, 0)
+
+    def test_coords_all_rejects_foreign_morphism(self):
+        h = hom_group(cyc(4), cyc(6))
+        other = hom_group(cyc(6), cyc(4))
+        with pytest.raises(ValueError):
+            h.coords_all(list(h.reps) + list(other.reps))
+        with pytest.raises(ValueError):
+            h.coords(other.reps[0])
 
     def test_brute_force_agreement_small(self):
         rng = _stream(3, "hombrute")

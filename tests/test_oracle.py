@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -22,8 +24,10 @@ from cohfun.oracle import (
     check_exact,
     default_battery,
     padded_complex,
+    random_finite_module,
     random_instance,
     verify_theorems,
+    _divisor_chains,
     _run,
 )
 from cohfun.cli import parse_workspace
@@ -208,6 +212,42 @@ class TestRandomInstances:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             random_instance("widget", 0)
+
+
+def _chains_by_product(max_order):
+    """Reference divisor-chain table: every tuple of a full product, filtered."""
+    chains = []
+    for k in (1, 2, 3):
+        for chain in itertools.product(range(2, max_order + 1), repeat=k):
+            ok = all(chain[i + 1] % chain[i] == 0 for i in range(k - 1))
+            order = 1
+            for d in chain:
+                order *= d
+            if ok and order <= max_order:
+                chains.append(chain)
+    return chains
+
+
+class TestChainTable:
+    def test_equals_product_reference_in_order(self):
+        for max_order in range(1, 61):
+            assert list(_divisor_chains(max_order)) == _chains_by_product(max_order)
+
+    @pytest.mark.parametrize(
+        "seed, max_order, gens, rels",
+        [
+            (0, 36, 3, [[2, 4, 8], [0, 2, 4], [0, -6, -6]]),
+            (1, 36, 1, [[10]]),
+            (2, 36, 3, [[-2, 2, 4], [0, 2, 0], [-8, 8, 8]]),
+            (7, 36, 1, [[22]]),
+            (42, 36, 2, [[6, -18], [-2, 10]]),
+            (3, 12, 1, [[9]]),
+        ],
+    )
+    def test_draws_pinned(self, seed, max_order, gens, rels):
+        m = random_finite_module(random.Random(seed), Z, max_order=max_order)
+        assert m.gens == gens
+        assert m.rels.to_lists() == rels
 
 
 class TestReports:
