@@ -20,7 +20,7 @@ of length at most two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .linalg import Matrix, express, hstack, solve_matrix, vstack
@@ -97,26 +97,17 @@ class Evaluation:
     Hom(Y, at)).
     """
 
-    functor: CoherentFunctor
-    at: FpModule
     hom_x: HomGroup
     hom_y: HomGroup
     precomp: Matrix
     module: FpModule
-
-    def class_of(self, m: ModMorphism) -> Matrix:
-        """Coordinates of [m : X -> at] in the value's generators."""
-        return self.hom_x.coords(m)
-
-    def rep(self, coords: Matrix) -> ModMorphism:
-        return self.hom_x.from_coords(coords)
 
     def is_zero_class(self, coords: Matrix) -> bool:
         return solve_matrix(self.module.rels, coords) is not None
 
     def factor_precompose(self, m: ModMorphism) -> ModMorphism | None:
         """h : Y -> at with h∘f equal to m as morphisms, if one exists."""
-        c = self.class_of(m)
+        c = self.hom_x.coords(m)
         z = solve_matrix(hstack(self.hom_x.group.rels, self.precomp), c)
         if z is None:
             return None
@@ -129,9 +120,9 @@ def _evaluation(f: CoherentFunctor, at: FpModule) -> Evaluation:
     pres = f.pres
     hx = hom_group(pres.source, at)
     hy = hom_group(pres.target, at)
-    precomp = hx.coords_all([compose_mor(rep, pres) for rep in hy.reps])
+    precomp = hx.induced(hy, pre=pres)
     module = FpModule(f.ring, hx.group.gens, hstack(hx.group.rels, precomp))
-    return Evaluation(functor=f, at=at, hom_x=hx, hom_y=hy, precomp=precomp, module=module)
+    return Evaluation(hom_x=hx, hom_y=hy, precomp=precomp, module=module)
 
 
 def evaluate(f: CoherentFunctor, a: FpModule) -> FpModule:
@@ -145,7 +136,7 @@ def evaluate_mor(f: CoherentFunctor, phi: ModMorphism) -> ModMorphism:
     """The induced map F(phi) : F(source) -> F(target) by postcomposition."""
     ev_a = _evaluation(f, phi.source)
     ev_b = _evaluation(f, phi.target)
-    mat = ev_b.hom_x.coords_all([compose_mor(phi, rep) for rep in ev_a.hom_x.reps])
+    mat = ev_b.hom_x.induced(ev_a.hom_x, post=phi)
     return ModMorphism(ev_a.module, ev_b.module, mat)
 
 
@@ -179,7 +170,7 @@ class NatMorphism:
         if self.source != other.source or self.target != other.target:
             return False
         ev = _evaluation(self.target, self.source.source_module)
-        return ev.is_zero_class(ev.class_of(self.a - other.a))
+        return ev.is_zero_class(ev.hom_x.coords(self.a - other.a))
 
     __hash__ = None
 
@@ -197,7 +188,7 @@ class NatMorphism:
     @property
     def is_zero(self) -> bool:
         ev = _evaluation(self.target, self.source.source_module)
-        return ev.is_zero_class(ev.class_of(self.a))
+        return ev.is_zero_class(ev.hom_x.coords(self.a))
 
 
 def identity_nat(f: CoherentFunctor) -> NatMorphism:
@@ -229,25 +220,25 @@ def evaluate_nat(alpha: NatMorphism, a: FpModule) -> ModMorphism:
     """The component alpha_a : source(a) -> target(a)."""
     ev_s = _evaluation(alpha.source, a)
     ev_t = _evaluation(alpha.target, a)
-    mat = ev_t.hom_x.coords_all([compose_mor(rep, alpha.a) for rep in ev_s.hom_x.reps])
+    mat = ev_t.hom_x.induced(ev_s.hom_x, pre=alpha.a)
     return ModMorphism(ev_s.module, ev_t.module, mat)
 
 
 @dataclass(frozen=True, eq=False)
 class NatGroup:
-    """Nat(F, G) as a group: the kernel of G(f) : G(X) -> G(Y).
-
-    ``theta`` records each generator's a component as an element of
-    that kernel (its coordinate column in G(X)).
-    """
+    """Nat(F, G) as a group: the kernel of G(f) : G(X) -> G(Y)."""
 
     source: CoherentFunctor
     target: CoherentFunctor
     group: FpModule
-    reps: tuple[NatMorphism, ...]
-    theta: tuple[Matrix, ...]
     _ev_x: Evaluation
     _incl: ModMorphism
+
+    @cached_property
+    def reps(self) -> tuple[NatMorphism, ...]:
+        """Each generator as an honest transformation, built when first read."""
+        ident = Matrix.identity(self.group.ring, self.group.gens)
+        return tuple(self.from_coords(ident.col(j)) for j in range(self.group.gens))
 
     def coords(self, alpha: NatMorphism) -> Matrix:
         return self.coords_all([alpha])
@@ -265,7 +256,7 @@ class NatGroup:
 
     def from_coords(self, coeffs: Matrix) -> NatMorphism:
         x = self._incl.mat @ coeffs
-        a = self._ev_x.rep(x)
+        a = self._ev_x.hom_x.from_coords(x)
         return _nat_from_a(self.source, self.target, a)
 
 
@@ -284,27 +275,9 @@ def nat_group(f: CoherentFunctor, g: CoherentFunctor) -> NatGroup:
         raise ValueError("functors live over different rings")
     ev_x = _evaluation(g, f.source_module)
     ev_y = _evaluation(g, f.target_module)
-    gf = ModMorphism(
-        ev_x.module,
-        ev_y.module,
-        ev_y.hom_x.coords_all([compose_mor(f.pres, rep) for rep in ev_x.hom_x.reps]),
-    )
+    gf = ModMorphism(ev_x.module, ev_y.module, ev_y.hom_x.induced(ev_x.hom_x, post=f.pres))
     k, incl = kernel_mor(gf)
-    reps = []
-    theta = []
-    for j in range(k.gens):
-        col = incl.mat.col(j)
-        reps.append(_nat_from_a(f, g, ev_x.rep(col)))
-        theta.append(col)
-    return NatGroup(
-        source=f,
-        target=g,
-        group=k,
-        reps=tuple(reps),
-        theta=tuple(theta),
-        _ev_x=ev_x,
-        _incl=incl,
-    )
+    return NatGroup(source=f, target=g, group=k, _ev_x=ev_x, _incl=incl)
 
 
 def nat_lift(
@@ -415,20 +388,13 @@ def l0_functor(f: CoherentFunctor) -> tuple[CoherentFunctor, NatMorphism]:
     generator of Hom(Y, ring) for precomposition relations).
     """
     ring = f.ring
-    one = FpModule.free(ring, 1)
-    ev = _evaluation(f, one)
-    e = ev.module
-    nx = f.source_module.gens
-    ny = f.target_module.gens
-
-    a_rows = [rep.mat for rep in ev.hom_x.reps]
-    a_mat = vstack(*a_rows) if a_rows else Matrix.zeros(ring, 0, nx)
-
-    b_rows = [Matrix.zeros(ring, 1, ny)] * ev.hom_x.group.rels.cols
-    b_rows += [rep.mat for rep in ev.hom_y.reps]
-    b_mat = vstack(*b_rows) if b_rows else Matrix.zeros(ring, 0, ny)
-
-    l0 = tensor_functor(e)
+    ev = _evaluation(f, FpModule.free(ring, 1))
+    a_mat = ev.hom_x.gen_mat.transpose()
+    b_mat = vstack(
+        Matrix.zeros(ring, ev.hom_x.group.rels.cols, f.target_module.gens),
+        ev.hom_y.gen_mat.transpose(),
+    )
+    l0 = tensor_functor(ev.module)
     counit = NatMorphism(
         source=l0,
         target=f,
@@ -496,7 +462,7 @@ def is_zero_functor(f: CoherentFunctor) -> bool:
     which in turn forces every value to vanish.
     """
     ev = _evaluation(f, f.source_module)
-    return ev.is_zero_class(ev.class_of(identity_mor(f.source_module)))
+    return ev.is_zero_class(ev.hom_x.coords(identity_mor(f.source_module)))
 
 
 def is_representable(f: CoherentFunctor) -> bool:
@@ -510,7 +476,6 @@ def is_representable(f: CoherentFunctor) -> bool:
 # The reflection is an isomorphism exactly on the left exact coherent
 # functors, which are the representable (equivalently projective) ones.
 is_left_exact = is_representable
-is_projective_object = is_representable
 
 
 def embed_injective(f: CoherentFunctor) -> tuple[CoherentFunctor, NatMorphism]:
@@ -526,11 +491,8 @@ def embed_injective(f: CoherentFunctor) -> tuple[CoherentFunctor, NatMorphism]:
     x, y = pres.source, pres.target
     ring = f.ring
 
-    if x.is_free and x.rels.cols == 0:
-        p0, p = x, identity_mor(x)
-    else:
-        p0 = FpModule.free(ring, x.gens)
-        p = ModMorphism(p0, x, Matrix.identity(ring, x.gens))
+    p0 = FpModule.free(ring, x.gens)
+    p = ModMorphism(p0, x, Matrix.identity(ring, x.gens))
     g_pres = compose_mor(pres, p)
     g = CoherentFunctor(g_pres)
     step1 = NatMorphism(source=f, target=g, a=p, b=identity_mor(y))

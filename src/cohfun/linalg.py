@@ -221,15 +221,6 @@ class Matrix:
             tuple(tuple(norm(-a) for a in row) for row in self.entries),
         )
 
-    def scale(self, c: int) -> "Matrix":
-        norm = self.ring.normalize
-        return Matrix(
-            self.ring,
-            self.rows,
-            self.cols,
-            tuple(tuple(norm(c * a) for a in row) for row in self.entries),
-        )
-
     def transpose(self) -> "Matrix":
         return Matrix(
             self.ring,

@@ -151,9 +151,6 @@ class ModMorphism:
     def __neg__(self) -> "ModMorphism":
         return ModMorphism(self.source, self.target, -self.mat)
 
-    def scale(self, c: int) -> "ModMorphism":
-        return ModMorphism(self.source, self.target, self.mat.scale(c))
-
     @property
     def is_zero(self) -> bool:
         return solve_matrix(self.target.rels, self.mat) is not None
@@ -242,20 +239,32 @@ class HomGroup:
     ``reps`` realizes each generator as a genuine morphism; ``coords``
     and ``from_coords`` convert between morphisms and coordinate columns
     (mutually inverse modulo the group's relations).  ``coords_all``
-    expresses many morphisms with one solve.
+    and ``induced`` express many morphisms with one solve.
     """
 
     source: FpModule
     target: FpModule
     group: FpModule
-    reps: tuple[ModMorphism, ...]
     gen_mat: Matrix  # vec'd generator matrices, one column per generator
+
+    @cached_property
+    def reps(self) -> tuple[ModMorphism, ...]:
+        """Each generator as a genuine morphism, built when first read."""
+        ident = Matrix.identity(self.source.ring, self.group.gens)
+        return tuple(self.from_coords(ident.col(j)) for j in range(self.group.gens))
 
     @cached_property
     def _system(self) -> Matrix:
         """[gen_mat | target relations on vec'd matrices], built once."""
         ident = Matrix.identity(self.source.ring, self.source.gens)
         return hstack(self.gen_mat, kron(self.target.rels, ident))
+
+    def _solve(self, vecs: Matrix) -> Matrix:
+        """Coordinates of the vec'd morphism matrices in the columns of ``vecs``."""
+        z = solve_matrix(self._system, vecs)
+        if z is None:
+            raise ValueError("morphism is not generated; Hom group is inconsistent")
+        return z.slice_rows(0, self.gen_mat.cols)
 
     def coords(self, phi: ModMorphism) -> Matrix:
         return self.coords_all([phi])
@@ -276,10 +285,24 @@ class HomGroup:
                 for j in range(self.source.gens)
             ),
         )
-        z = solve_matrix(self._system, rhs)
-        if z is None:
-            raise ValueError("morphism is not generated; Hom group is inconsistent")
-        return z.slice_rows(0, self.gen_mat.cols)
+        return self._solve(rhs)
+
+    def induced(
+        self, dom: "HomGroup", pre: ModMorphism | None = None, post: ModMorphism | None = None
+    ) -> Matrix:
+        """Coordinates of post∘h∘pre, one column per generator h of ``dom``.
+
+        A missing ``pre`` or ``post`` is the identity; the composites are
+        solved at once, as vec(post∘h∘pre) == kron(post, pre.T) vec(h).
+        """
+        a, b = self.source, self.target
+        pre_mat = Matrix.identity(a.ring, a.gens) if pre is None else pre.mat
+        post_mat = Matrix.identity(b.ring, b.gens) if post is None else post.mat
+        pre_ends = (a, a) if pre is None else (pre.source, pre.target)
+        post_ends = (b, b) if post is None else (post.source, post.target)
+        if pre_ends != (a, dom.source) or post_ends != (dom.target, b):
+            raise ValueError("induced map endpoint mismatch")
+        return self._solve(kron(post_mat, pre_mat.transpose()) @ dom.gen_mat)
 
     def from_coords(self, coeffs: Matrix) -> ModMorphism:
         if coeffs.rows != self.group.gens or coeffs.cols != 1:
@@ -310,10 +333,7 @@ def hom_group(a: FpModule, b: FpModule) -> HomGroup:
         gen_mat = preimage_lattice(cond, modw)
         rels = preimage_lattice(gen_mat, kron(b.rels, ident_na))
     group = FpModule(ring, gen_mat.cols, rels)
-    reps = tuple(
-        ModMorphism(a, b, unvec(ring, gen_mat.col(j), nb, na)) for j in range(gen_mat.cols)
-    )
-    return HomGroup(source=a, target=b, group=group, reps=reps, gen_mat=gen_mat)
+    return HomGroup(source=a, target=b, group=group, gen_mat=gen_mat)
 
 
 def tensor_module(a: FpModule, b: FpModule) -> FpModule:

@@ -138,9 +138,9 @@ class TestNatGroup:
         for rep in ng.reps:
             assert ng.from_coords(ng.coords(rep)) == rep
 
-    def test_theta_matches_kernel_classes(self):
+    def test_reps_match_group_generators(self):
         ng = nat_group(F_TENSOR2, F_TENSOR2)
-        assert len(ng.theta) == len(ng.reps)
+        assert len(ng.reps) == ng.group.gens
 
 
 class TestNatMorphism:
@@ -330,6 +330,30 @@ class TestCoreflection:
         assert is_proj_stable(y2)
         l0, _ = l0_functor(y2)
         assert is_zero_functor(l0)
+
+    def test_counit_with_no_maps_into_the_ring(self):
+        # Hom(Z/2, Z) == Hom(Z/4, Z) == 0: no rows in either counit component
+        f = functor(cyc(2), cyc(4), [[2]])
+        l0, counit = l0_functor(f)
+        assert counit.a.mat == Matrix.zeros(Z, 0, 1)
+        assert counit.b.mat == Matrix.zeros(Z, 0, 1)
+        assert is_zero_functor(l0)
+        st = proj_stabilize(f)
+        for probe in BATTERY.probes:
+            assert canonical_form(evaluate(st, probe)) == canonical_form(evaluate(f, probe))
+
+    def test_counit_stacks_the_hom_generators(self):
+        rng = _stream(6, "l0-rows")
+        for _ in range(10):
+            f = random_functor(rng, Z, Bounds(gens=3, rels=3, entry=3))
+            _, counit = l0_functor(f)
+            one = free(1)
+            hx, hy = hom_group(f.source_module, one), hom_group(f.target_module, one)
+            a_rows = [rep.mat for rep in hx.reps]
+            b_rows = [Matrix.zeros(Z, 1, f.target_module.gens)] * hx.group.rels.cols
+            b_rows += [rep.mat for rep in hy.reps]
+            assert counit.a.mat.entries == tuple(row for m in a_rows for row in m.entries)
+            assert counit.b.mat.entries == tuple(row for m in b_rows for row in m.entries)
 
     def test_stabilization_dies_on_frees(self):
         rng = _stream(5, "l0")

@@ -25,7 +25,7 @@ from cohfun import (
     zero_mor,
 )
 from cohfun.linalg import hstack
-from cohfun.modules import coimage_mor, image_mor
+from cohfun.modules import HomGroup, coimage_mor, image_mor
 from cohfun.oracle import Bounds, brute_hom, random_module, random_morphism, _stream
 
 Z = BaseRing.integers()
@@ -151,6 +151,52 @@ class TestHom:
             h.coords_all(list(h.reps) + list(other.reps))
         with pytest.raises(ValueError):
             h.coords(other.reps[0])
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_induced_matches_composed_reps(self, ring):
+        # reference: compose each generator of the domain group, then solve
+        rng = _stream(6, f"induced-{ring}")
+        for _ in range(20):
+            a, a2, b, b2 = (random_module(rng, ring, Bounds()) for _ in range(4))
+            pre = random_morphism(rng, a2, a, Bounds())
+            post = random_morphism(rng, b, b2, Bounds())
+            dom = hom_group(a, b)
+            into_pre, into_post = hom_group(a2, b), hom_group(a, b2)
+            assert into_pre.induced(dom, pre=pre) == into_pre.coords_all(
+                [compose_mor(rep, pre) for rep in dom.reps]
+            )
+            assert into_post.induced(dom, post=post) == into_post.coords_all(
+                [compose_mor(post, rep) for rep in dom.reps]
+            )
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_induced_from_group_without_generators(self, ring):
+        # over Z, Hom(Z/2, Z) == 0; over F5, Hom(0, F5) == 0
+        x = cyc(2) if ring == Z else free(0, F5)
+        one, two = free(1, ring), free(2, ring)
+        dom = hom_group(x, one)
+        pre = ModMorphism(two, x, Matrix.from_rows(ring, [[1, 1]] if ring == Z else [], cols=2))
+        post = ModMorphism(one, two, Matrix.from_rows(ring, [[1], [3]]))
+        assert dom.group.gens == 0
+        for into, kw in ((hom_group(two, one), {"pre": pre}), (hom_group(x, two), {"post": post})):
+            assert into.induced(dom, **kw) == Matrix.zeros(ring, into.group.gens, 0)
+
+    def test_induced_rejects_mismatched_endpoints(self):
+        dom = hom_group(cyc(4), cyc(6))
+        to_z2 = ModMorphism(cyc(6), cyc(2), Matrix.from_rows(Z, [[1]]))
+        with pytest.raises(ValueError, match="endpoint"):
+            hom_group(cyc(2), cyc(6)).induced(dom)  # sources differ, no pre
+        with pytest.raises(ValueError, match="endpoint"):
+            hom_group(cyc(4), cyc(2)).induced(dom, pre=to_z2)  # pre must be Z/4 -> Z/4
+        with pytest.raises(ValueError, match="endpoint"):
+            hom_group(cyc(4), cyc(4)).induced(dom, post=to_z2)  # post must be Z/6 -> Z/4
+
+    def test_induced_raises_when_a_composite_is_not_generated(self):
+        # a Hom(Z, Z) that lost its generator cannot express the identity
+        dom = hom_group(free(1), free(1))
+        broken = HomGroup(free(1), free(1), FpModule.zero(Z), Matrix.zeros(Z, 1, 0))
+        with pytest.raises(ValueError, match="not generated"):
+            broken.induced(dom)
 
     def test_brute_force_agreement_small(self):
         rng = _stream(3, "hombrute")
