@@ -87,7 +87,7 @@ class PayloadBuilder:
         self.nats = dict(nats or {})
         self._module_names = {m: n for n, m in self.modules.items()}
         self._morphism_names = {phi.key(): n for n, phi in self.morphisms.items()}
-        self._functor_names = {f._key(): n for n, f in self.functors.items()}
+        self._functor_names = {f.pres.key(): n for n, f in self.functors.items()}
 
     def add_module(self, m: FpModule, hint: str = "M") -> str:
         if m in self._module_names:
@@ -109,7 +109,7 @@ class PayloadBuilder:
         return name
 
     def add_functor(self, f: CoherentFunctor, hint: str = "F") -> str:
-        key = f._key()
+        key = f.pres.key()
         if key in self._functor_names:
             return self._functor_names[key]
         self.add_morphism(f.pres, hint="pres")
@@ -149,8 +149,8 @@ class PayloadBuilder:
         if self.nats:
             out["nats"] = {
                 name: {
-                    "source": self._functor_names[alpha.source._key()],
-                    "target": self._functor_names[alpha.target._key()],
+                    "source": self._functor_names[alpha.source.pres.key()],
+                    "target": self._functor_names[alpha.target.pres.key()],
                     "a": matrix_to_obj(alpha.a.mat),
                     "b": matrix_to_obj(alpha.b.mat),
                 }

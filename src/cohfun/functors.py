@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 from .linalg import Matrix, express, hstack, solve_matrix, vstack
 from .modules import (
@@ -58,17 +57,14 @@ class CoherentFunctor:
     def target_module(self) -> FpModule:
         return self.pres.target
 
-    def _key(self) -> tuple:
-        return self.pres.key()
-
     def __eq__(self, other: object) -> bool:
         # identity of presentation, matching object equality in the base
         if not isinstance(other, CoherentFunctor):
             return NotImplemented
-        return self._key() == other._key()
+        return self.pres.key() == other.pres.key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.pres.key())
 
 
 def yoneda_embed(x: FpModule) -> CoherentFunctor:
@@ -93,22 +89,20 @@ class Evaluation:
 
     ``module`` presents the value group on the generators of
     Hom(X, at); its relations are the Hom-group relations followed by
-    the columns of ``precomp`` (the classes h_j∘f of the generators of
-    Hom(Y, at)).
+    the classes h_j∘f of the generators h_j of Hom(Y, at).
     """
 
     hom_x: HomGroup
     hom_y: HomGroup
-    precomp: Matrix
     module: FpModule
 
-    def is_zero_class(self, coords: Matrix) -> bool:
-        return solve_matrix(self.module.rels, coords) is not None
+    def is_zero_class(self, m: ModMorphism) -> bool:
+        """True when the class of m : X -> at vanishes in F(at)."""
+        return solve_matrix(self.module.rels, self.hom_x.coords(m)) is not None
 
     def factor_precompose(self, m: ModMorphism) -> ModMorphism | None:
         """h : Y -> at with h∘f equal to m as morphisms, if one exists."""
-        c = self.hom_x.coords(m)
-        z = solve_matrix(hstack(self.hom_x.group.rels, self.precomp), c)
+        z = solve_matrix(self.module.rels, self.hom_x.coords(m))
         if z is None:
             return None
         beta = z.slice_rows(self.hom_x.group.rels.cols, z.rows)
@@ -122,7 +116,7 @@ def _evaluation(f: CoherentFunctor, at: FpModule) -> Evaluation:
     hy = hom_group(pres.target, at)
     precomp = hx.induced(hy, pre=pres)
     module = FpModule(f.ring, hx.group.gens, hstack(hx.group.rels, precomp))
-    return Evaluation(hom_x=hx, hom_y=hy, precomp=precomp, module=module)
+    return Evaluation(hom_x=hx, hom_y=hy, module=module)
 
 
 def evaluate(f: CoherentFunctor, a: FpModule) -> FpModule:
@@ -170,7 +164,7 @@ class NatMorphism:
         if self.source != other.source or self.target != other.target:
             return False
         ev = _evaluation(self.target, self.source.source_module)
-        return ev.is_zero_class(ev.hom_x.coords(self.a - other.a))
+        return ev.is_zero_class(self.a - other.a)
 
     __hash__ = None
 
@@ -188,7 +182,7 @@ class NatMorphism:
     @property
     def is_zero(self) -> bool:
         ev = _evaluation(self.target, self.source.source_module)
-        return ev.is_zero_class(ev.hom_x.coords(self.a))
+        return ev.is_zero_class(self.a)
 
 
 def identity_nat(f: CoherentFunctor) -> NatMorphism:
@@ -226,7 +220,14 @@ def evaluate_nat(alpha: NatMorphism, a: FpModule) -> ModMorphism:
 
 @dataclass(frozen=True, eq=False)
 class NatGroup:
-    """Nat(F, G) as a group: the kernel of G(f) : G(X) -> G(Y)."""
+    """Nat(F, G) as a group: the kernel of G(f) : G(X) -> G(Y).
+
+    Elements are coordinate columns on ``group``'s generators; a
+    generator's a component is the Hom(X_G, X_F) element picked out by
+    the kernel inclusion.  ``reps`` builds the generators as
+    transformations, for the ``nat`` command, the oracle's naturality
+    checks and tests; everything else stays in coordinates.
+    """
 
     source: CoherentFunctor
     target: CoherentFunctor
@@ -248,29 +249,27 @@ class NatGroup:
         for alpha in alphas:
             if alpha.source != self.source or alpha.target != self.target:
                 raise ValueError("transformation does not belong to this Nat group")
-        x = self._ev_x.hom_x.coords_all([alpha.a for alpha in alphas])
+        return self.coords_from_hom(self._ev_x.hom_x.coords_all([alpha.a for alpha in alphas]))
+
+    def coords_from_hom(self, x: Matrix) -> Matrix:
+        """Coordinates of the transformations whose a components have Hom coordinates ``x``."""
         c = express(self._incl.mat, self._ev_x.module.rels, x)
         if c is None:
             raise ValueError("transformation escaped its Nat group; inconsistent data")
         return c
 
     def from_coords(self, coeffs: Matrix) -> NatMorphism:
-        x = self._incl.mat @ coeffs
-        a = self._ev_x.hom_x.from_coords(x)
-        return _nat_from_a(self.source, self.target, a)
-
-
-def _nat_from_a(f: CoherentFunctor, g: CoherentFunctor, a: ModMorphism) -> NatMorphism:
-    """Complete an a component to a transformation by solving for b."""
-    ev_y = _evaluation(g, f.target_module)
-    b = ev_y.factor_precompose(compose_mor(f.pres, a))
-    if b is None:
-        raise ValueError("a component does not define a transformation")
-    return NatMorphism(f, g, a, b)
+        """The transformation with these coordinates; its b component is solved for."""
+        f, g = self.source, self.target
+        a = self._ev_x.hom_x.from_coords(self._incl.mat @ coeffs)
+        b = _evaluation(g, f.target_module).factor_precompose(compose_mor(f.pres, a))
+        if b is None:
+            raise ValueError("a component does not define a transformation")
+        return NatMorphism(f, g, a, b)
 
 
 def nat_group(f: CoherentFunctor, g: CoherentFunctor) -> NatGroup:
-    """Nat(F, G), with generators realized as honest transformations."""
+    """Nat(F, G) as the kernel of G(f); no transformation is built until ``reps`` is read."""
     if f.ring != g.ring:
         raise ValueError("functors live over different rings")
     ev_x = _evaluation(g, f.source_module)
@@ -283,15 +282,28 @@ def nat_group(f: CoherentFunctor, g: CoherentFunctor) -> NatGroup:
 def nat_lift(
     domain: NatGroup,
     codomain: NatGroup,
-    along: Callable[[NatMorphism], NatMorphism],
     target: NatMorphism,
+    pre: NatMorphism | None = None,
+    post: NatMorphism | None = None,
 ) -> Matrix | None:
-    """Coordinates in ``domain`` of a preimage of ``target`` under ``along``.
+    """Coordinates in ``domain`` of some gamma with post∘gamma∘pre == ``target``.
 
-    ``along`` composes with one fixed transformation, a group map from
-    ``domain`` to ``codomain``; None when ``target`` is not in its image.
+    A missing ``pre`` or ``post`` is the identity; None when ``target``
+    is not in the image.  The composite's a component is
+    pre.a∘gamma.a∘post.a, so the images of all of ``domain``'s
+    generators come from one ``induced`` solve in Hom coordinates.
     """
-    comp = codomain.coords_all([along(rep) for rep in domain.reps])
+    f, g = domain.source, domain.target
+    pre_ends = (f, f) if pre is None else (pre.source, pre.target)
+    post_ends = (g, g) if post is None else (post.source, post.target)
+    if pre_ends != (codomain.source, f) or post_ends != (g, codomain.target):
+        raise ValueError("nat_lift endpoint mismatch")
+    hom = codomain._ev_x.hom_x.induced(
+        domain._ev_x.hom_x,
+        pre=None if post is None else post.a,
+        post=None if pre is None else pre.a,
+    )
+    comp = codomain.coords_from_hom(hom @ domain._incl.mat)
     return express(comp, codomain.group.rels, codomain.coords(target))
 
 
@@ -462,7 +474,7 @@ def is_zero_functor(f: CoherentFunctor) -> bool:
     which in turn forces every value to vanish.
     """
     ev = _evaluation(f, f.source_module)
-    return ev.is_zero_class(ev.hom_x.coords(identity_mor(f.source_module)))
+    return ev.is_zero_class(identity_mor(f.source_module))
 
 
 def is_representable(f: CoherentFunctor) -> bool:
@@ -546,7 +558,4 @@ def is_injective_functor(f: CoherentFunctor) -> bool:
     ring = f.ring
     if h == f and j.a.mat == Matrix.identity(ring, f.source_module.gens):
         return True
-    split = nat_lift(
-        nat_group(h, f), nat_group(f, f), lambda gamma: compose_nat(gamma, j), identity_nat(f)
-    )
-    return split is not None
+    return nat_lift(nat_group(h, f), nat_group(f, f), identity_nat(f), pre=j) is not None

@@ -576,27 +576,16 @@ def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     snf = smith_normal_form(m)
     r = len(snf.diag)
     c = snf.u @ b
-    out_cols = []
-    for j in range(b.cols):
-        y = [0] * m.cols
-        for i in range(m.rows):
-            ci = c.entries[i][j]
-            if i < r:
-                d = snf.diag[i]
-                if m.ring.is_field:
-                    y[i] = ci * pow(d, -1, m.ring.p) % m.ring.p
-                else:
-                    q, rem = divmod(ci, d)
-                    if rem:
-                        return None
-                    y[i] = q
-            elif ci:
-                return None
-        out_cols.append(y)
-    ycols = Matrix(
-        m.ring, m.cols, b.cols, tuple(tuple(out_cols[j][i] for j in range(b.cols)) for i in range(m.cols))
-    )
-    return snf.v @ ycols
+    if any(any(row) for row in c.entries[r:]):
+        return None
+    # u m v == s, so y == s^-1 (u b) on the first r rows, and 0 below;
+    # over F_p every d is 1, so the exact division holds there too
+    y = []
+    for d, row in zip(snf.diag, c.entries):
+        if any(x % d for x in row):
+            return None
+        y.append(tuple(x // d for x in row))
+    return snf.v.slice_cols(0, r) @ Matrix(m.ring, r, b.cols, tuple(y))
 
 
 def solve_linear(m: Matrix, b: Matrix) -> tuple[Matrix, Matrix] | None:

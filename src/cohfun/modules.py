@@ -205,12 +205,6 @@ def image_mor(phi: ModMorphism) -> tuple[FpModule, ModMorphism]:
     return im, ModMorphism(im, phi.target, phi.mat)
 
 
-def coimage_mor(phi: ModMorphism) -> tuple[FpModule, ModMorphism]:
-    """Coimage source/ker(phi), with the projection from the source."""
-    _, incl = kernel_mor(phi)
-    return cokernel_mor(incl)
-
-
 def is_mono(phi: ModMorphism) -> bool:
     return kernel_mor(phi)[0].is_zero
 
@@ -221,15 +215,6 @@ def is_epi(phi: ModMorphism) -> bool:
 
 def is_iso(phi: ModMorphism) -> bool:
     return is_mono(phi) and is_epi(phi)
-
-
-def factor_through_kernel(phi: ModMorphism, psi: ModMorphism) -> ModMorphism | None:
-    """Given phi∘psi == 0, a lift of psi through the kernel inclusion."""
-    k, incl = kernel_mor(phi)
-    coeff = express(incl.mat, phi.source.rels, psi.mat)
-    if coeff is None:
-        return None
-    return ModMorphism(psi.source, k, coeff)
 
 
 @dataclass(frozen=True, eq=False)

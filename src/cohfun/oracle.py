@@ -863,7 +863,7 @@ def case_representables_projective(
     gamma = random_nat(rng, y, quot, bounds)
     # lift gamma through proj: solve in the Nat groups
     ng_mid = nat_group(y, g)
-    coeff = nat_lift(ng_mid, nat_group(y, quot), lambda rep: compose_nat(proj, rep), gamma)
+    coeff = nat_lift(ng_mid, nat_group(y, quot), gamma, post=proj)
     if coeff is None:
         return {"instance": instance_payload([y, quot], ring=ring), "reason": "no lift"}
     lifted = ng_mid.from_coords(coeff)
@@ -875,12 +875,7 @@ def case_representables_projective(
 def _splits_off_presentation(f: CoherentFunctor) -> bool:
     """Projectivity via the canonical epi (X,-) -> F admitting a section."""
     epi = _canonical_epi(f)
-    section = nat_lift(
-        nat_group(f, epi.source),
-        nat_group(f, f),
-        lambda rep: compose_nat(epi, rep),
-        identity_nat(f),
-    )
+    section = nat_lift(nat_group(f, epi.source), nat_group(f, f), identity_nat(f), post=epi)
     return section is not None
 
 

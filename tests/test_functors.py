@@ -41,7 +41,8 @@ from cohfun import (
     yoneda_mor,
     zero_nat,
 )
-from cohfun.functors import NatMorphism
+from cohfun.functors import NatMorphism, nat_lift
+from cohfun.linalg import express
 from cohfun.oracle import (
     Bounds,
     check_exact,
@@ -141,6 +142,83 @@ class TestNatGroup:
     def test_reps_match_group_generators(self):
         ng = nat_group(F_TENSOR2, F_TENSOR2)
         assert len(ng.reps) == ng.group.gens
+
+    def test_hom_element_outside_the_kernel_raises(self):
+        # 1 in Hom(Z, Z) is not a transformation Z/2 ⊗ - -> Hom(Z, -)
+        ng = nat_group(F_TENSOR2, yoneda_embed(free(1)))
+        with pytest.raises(ValueError, match="escaped"):
+            ng.coords_from_hom(Matrix.column(Z, [1]))
+
+
+def lift_by_composing_reps(domain, codomain, target, along):
+    """Reference for nat_lift: compose each generator of ``domain``, then solve."""
+    comp = codomain.coords_all([along(rep) for rep in domain.reps])
+    return express(comp, codomain.group.rels, codomain.coords(target))
+
+
+class TestNatLift:
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_matches_composed_reps(self, ring):
+        rng = _stream(7, f"natlift-{ring}")
+        bounds = Bounds(gens=2, rels=2, entry=3)
+        seen = {"none": 0, "empty": 0, "lifted": 0}
+        for _ in range(12):
+            f, g, h = (random_functor(rng, ring, bounds) for _ in range(3))
+            # pre only: gamma : H -> G composed with pre : F -> H
+            pre = random_nat(rng, f, h, bounds)
+            domain, codomain = nat_group(h, g), nat_group(f, g)
+            target = random_nat(rng, f, g, bounds)
+            got = nat_lift(domain, codomain, target, pre=pre)
+            assert got == lift_by_composing_reps(
+                domain, codomain, target, lambda gamma: compose_nat(gamma, pre)
+            )
+            seen["none"] += got is None
+            seen["empty"] += domain.group.gens == 0
+            seen["lifted"] += got is not None and domain.group.gens > 0
+            # post only: gamma : F -> G composed with post : G -> H
+            post = random_nat(rng, g, h, bounds)
+            domain, codomain = nat_group(f, g), nat_group(f, h)
+            target = random_nat(rng, f, h, bounds)
+            got = nat_lift(domain, codomain, target, post=post)
+            assert got == lift_by_composing_reps(
+                domain, codomain, target, lambda gamma: compose_nat(post, gamma)
+            )
+            seen["none"] += got is None
+            seen["empty"] += domain.group.gens == 0
+            seen["lifted"] += got is not None and domain.group.gens > 0
+        assert all(seen.values())
+
+    def test_identity_not_in_image_of_zero(self):
+        f = yoneda_embed(free(1))
+        pre = zero_nat(f, F_TENSOR2)
+        domain, codomain = nat_group(F_TENSOR2, f), nat_group(f, f)
+        assert nat_lift(domain, codomain, identity_nat(f), pre=pre) is None
+
+    def test_domain_without_generators(self):
+        # Nat(Z/2 ⊗ -, Hom(Z, -)) == 0, so only zero lifts
+        f = yoneda_embed(free(1))
+        pre = zero_nat(f, F_TENSOR2)
+        domain, codomain = nat_group(F_TENSOR2, f), nat_group(f, f)
+        assert domain.group.gens == 0
+        assert nat_lift(domain, codomain, zero_nat(f, f), pre=pre) == Matrix.zeros(Z, 0, 1)
+
+    def test_rejects_mismatched_endpoints(self):
+        domain = nat_group(F_TENSOR2, F_MOD_TORSION)
+        codomain = nat_group(F_MOD_TORSION, F_MOD_TORSION)
+        target = identity_nat(F_MOD_TORSION)
+        with pytest.raises(ValueError, match="endpoint"):
+            nat_lift(domain, codomain, target)  # sources differ, no pre
+        with pytest.raises(ValueError, match="endpoint"):
+            # pre must end at F_TENSOR2
+            nat_lift(domain, codomain, target, pre=identity_nat(F_MOD_TORSION))
+        with pytest.raises(ValueError, match="endpoint"):
+            nat_lift(
+                domain,
+                codomain,
+                target,
+                pre=zero_nat(F_MOD_TORSION, F_TENSOR2),
+                post=zero_nat(F_TENSOR2, F_MOD_TORSION),  # must start at F_MOD_TORSION
+            )
 
 
 class TestNatMorphism:

@@ -1,0 +1,44 @@
+"""Every module-level import in the package is used by the module itself.
+
+``__init__.py`` is skipped: its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cohfun"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports that nothing in ``source`` reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) or hasattr(node, "returns"):
+            # quoted annotations name imports too
+            for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                    names = ast.walk(ast.parse(ann.value))
+                    used |= {n.id for n in names if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_checker_sees_unused_and_quoted_names():
+    source = "import os\nfrom typing import Callable\ndef f(x: 'Callable') -> None: pass\n"
+    assert unused_imports(source) == ["os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
