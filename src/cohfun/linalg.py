@@ -630,32 +630,17 @@ def express(gens: Matrix, rels: Matrix, target: Matrix) -> Matrix | None:
 
 
 def det(m: Matrix) -> int:
-    """Exact determinant (Bareiss over Z, Gaussian elimination over F_p)."""
+    """Exact determinant: Bareiss on the stored integers, reduced into the ring.
+
+    Over F_p the stored entries are representatives, and the integer
+    determinant reduced mod p is the field's determinant.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
-        return 1 if m.ring.p is None else 1 % m.ring.p
+        return m.ring.normalize(1)
     a = [list(row) for row in m.entries]
-    if m.ring.is_field:
-        p = m.ring.p
-        sign = 1
-        result = 1
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k] % p), None)
-            if piv is None:
-                return 0
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            result = result * a[k][k] % p
-            inv = pow(a[k][k], -1, p)
-            for i in range(k + 1, n):
-                f = a[i][k] * inv % p
-                if f:
-                    for j in range(k, n):
-                        a[i][j] = (a[i][j] - f * a[k][j]) % p
-        return sign * result % p
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -670,4 +655,4 @@ def det(m: Matrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return m.ring.normalize(sign * a[n - 1][n - 1])

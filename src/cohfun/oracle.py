@@ -1,10 +1,13 @@
 """Independent brute-force verification layer.
 
 Nothing here trusts the Hom-group machinery it is checking: finite
-modules are enumerated element by element, Hom sets by filtering all
-generator-image assignments, and group types are recovered by counting
-solutions of p^j * x == 0.  Exactness of functor sequences is decided
-pointwise on a probe battery with exact two-sided subgroup membership.
+modules are enumerated element by element, Hom sets by assigning
+generator images one at a time and pruning each partial assignment as
+soon as a relation's generators all have images, and group types are
+recovered by counting solutions of p^j * x == 0.  Hom(a, b) is the
+value at b of the functor presented by a -> 0.  Exactness of functor
+sequences is decided pointwise on a probe battery with exact two-sided
+subgroup membership.
 
 Random instance generation is seeded and splits its stream per case
 index, so runs are reproducible bit for bit.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -136,69 +140,61 @@ class CheckReport:
 # element-level enumeration
 
 
-class _Elements:
-    """Explicit element table of a finite module (or F_p vector space)."""
+def _moduli(module: FpModule, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, ...]:
+    """Coordinate moduli of a finite module (or F_p vector space).
 
-    def __init__(self, module: FpModule, cap: int = DEFAULT_ENUM_CAP):
-        ring = module.ring
-        snf = smith_normal_form(module.rels)
-        if ring.is_field:
-            moduli = [1] * len(snf.diag) + [ring.p] * (module.gens - len(snf.diag))
-        else:
-            if module.rank:
-                raise ValueError(
-                    f"cannot enumerate an infinite module (free rank {module.rank})"
-                )
-            moduli = list(snf.diag)
-        order = 1
-        for m in moduli:
-            order *= m
-        if order > cap:
-            raise ValueError(f"module order {order} exceeds enumeration cap {cap}")
-        self.moduli = tuple(moduli)
-        self.order = order
-
-    def all(self) -> list[tuple[int, ...]]:
-        return [tuple(z) for z in itertools.product(*(range(m) for m in self.moduli))]
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * len(self.moduli)
-
-    def add(self, z1, z2) -> tuple[int, ...]:
-        return tuple((a + b) % m for a, b, m in zip(z1, z2, self.moduli))
-
-    def smul(self, c: int, z) -> tuple[int, ...]:
-        return tuple((c * a) % m for a, m in zip(z, self.moduli))
+    Its elements are the coordinate tuples in the box of these moduli.
+    """
+    ring = module.ring
+    snf = smith_normal_form(module.rels)
+    if ring.is_field:
+        moduli = [1] * len(snf.diag) + [ring.p] * (module.gens - len(snf.diag))
+    else:
+        if module.rank:
+            raise ValueError(
+                f"cannot enumerate an infinite module (free rank {module.rank})"
+            )
+        moduli = list(snf.diag)
+    order = math.prod(moduli)
+    if order > cap:
+        raise ValueError(f"module order {order} exceeds enumeration cap {cap}")
+    return tuple(moduli)
 
 
-def _enum_homs(src: FpModule, elems: _Elements, cap: int) -> list[tuple]:
-    """All morphisms from src to the enumerated module, as flat element tuples.
+def _combine(coeffs, parts, moduli) -> tuple[int, ...]:
+    """Sum of c_k * part_k, reduced modulo each coordinate modulus."""
+    return tuple(
+        sum(c * z[t] for c, z in zip(coeffs, parts)) % m for t, m in enumerate(moduli)
+    )
 
-    A morphism is one element per generator, filtered by the relations;
-    the flat tuple concatenates the element coordinates.
+
+def _enum_homs(src: FpModule, moduli: tuple[int, ...], cap: int) -> list[tuple]:
+    """All morphisms from src to the module with these moduli.
+
+    A morphism is one coordinate tuple per generator.  Generator images
+    are assigned one at a time, and each relation is tested as soon as
+    its last nonzero generator has an image.
     """
     n = src.gens
-    if elems.order ** n > cap:
-        raise ValueError(
-            f"Hom enumeration size {elems.order}^{n} exceeds cap {cap}"
-        )
-    rel_cols = [
-        [src.rels.entries[i][j] for i in range(n)] for j in range(src.rels.cols)
-    ]
-    out = []
-    for assignment in itertools.product(elems.all(), repeat=n):
-        ok = True
-        for col in rel_cols:
-            acc = elems.zero()
-            for c, z in zip(col, assignment):
-                if c:
-                    acc = elems.add(acc, elems.smul(c, z))
-            if any(acc):
-                ok = False
-                break
-        if ok:
-            out.append(tuple(x for z in assignment for x in z))
-    return out
+    order = math.prod(moduli)
+    if order ** n > cap:
+        raise ValueError(f"Hom enumeration size {order}^{n} exceeds cap {cap}")
+    elements = list(itertools.product(*(range(m) for m in moduli)))
+    due = [[] for _ in range(n)]  # relation columns, by last nonzero generator
+    for j in range(src.rels.cols):
+        col = [src.rels.entries[i][j] for i in range(n)]
+        last = max((i for i, c in enumerate(col) if c), default=None)
+        if last is not None:
+            due[last].append(col[: last + 1])
+    partial = [()]
+    for cols in due:
+        partial = [
+            images
+            for prefix in partial
+            for images in (prefix + (z,) for z in elements)
+            if not any(any(_combine(col, images, moduli)) for col in cols)
+        ]
+    return partial
 
 
 def _group_invariants(elements: list, killed) -> tuple[int, ...]:
@@ -264,15 +260,10 @@ def _type_module(ring: BaseRing, order: int, factors: tuple[int, ...]) -> FpModu
 
 
 def brute_hom(a: FpModule, b: FpModule, cap: int = DEFAULT_ENUM_CAP) -> FpModule:
-    """Hom(a, b) by full enumeration of generator images."""
-    elems = _Elements(b, cap)
-    homs = _enum_homs(a, elems, cap)
-    moduli = elems.moduli * a.gens
-
-    def killed(c, z):
-        return not any((c * x) % m for x, m in zip(z, moduli))
-
-    return _type_module(a.ring, len(homs), _group_invariants(homs, killed))
+    """Hom(a, b), as brute_eval of Hom(a, -), the functor presented by a -> 0."""
+    zero = FpModule.zero(a.ring)
+    hom_a = CoherentFunctor(ModMorphism(a, zero, Matrix.zeros(a.ring, 0, a.gens)))
+    return brute_eval(hom_a, b, cap)
 
 
 def brute_eval(f: CoherentFunctor, a: FpModule, cap: int = DEFAULT_ENUM_CAP) -> FpModule:
@@ -282,41 +273,29 @@ def brute_eval(f: CoherentFunctor, a: FpModule, cap: int = DEFAULT_ENUM_CAP) -> 
     and reads the quotient's type off coset representatives; the result
     is isomorphic to evaluate(f, a) but shares none of its machinery.
     """
-    elems = _Elements(a, cap)
+    moduli = _moduli(a, cap)
     x, y = f.pres.source, f.pres.target
-    homs_x = _enum_homs(x, elems, cap)
-    homs_y = _enum_homs(y, elems, cap)
-    moduli = elems.moduli * x.gens
-    width = len(elems.moduli)
+    homs_x = [tuple(v for z in h for v in z) for h in _enum_homs(x, moduli, cap)]
+    homs_y = _enum_homs(y, moduli, cap)
+    flat_moduli = moduli * x.gens
 
     fcols = [
         [f.pres.mat.entries[j][i] for j in range(y.gens)] for i in range(x.gens)
     ]
 
     def precompose(h: tuple) -> tuple:
-        hparts = [h[j * width : (j + 1) * width] for j in range(y.gens)]
-        out = []
-        for col in fcols:
-            acc = elems.zero()
-            for c, z in zip(col, hparts):
-                if c:
-                    acc = elems.add(acc, elems.smul(c, z))
-            out.extend(acc)
-        return tuple(out)
+        return tuple(v for col in fcols for v in _combine(col, h, moduli))
 
     image = sorted({precompose(h) for h in homs_y})
 
-    def add_flat(z1, z2):
-        return tuple((p + q) % m for p, q, m in zip(z1, z2, moduli))
-
     def coset_key(z):
-        return min(add_flat(z, s) for s in image)
+        return min(tuple((p + q) % m for p, q, m in zip(z, s, flat_moduli)) for s in image)
 
     cosets = sorted({coset_key(z) for z in homs_x})
-    zero_key = coset_key(tuple(0 for _ in moduli))
+    zero_key = coset_key((0,) * len(flat_moduli))
 
     def killed(c, z):
-        return coset_key(tuple((c * p) % m for p, m in zip(z, moduli))) == zero_key
+        return coset_key(tuple((c * p) % m for p, m in zip(z, flat_moduli))) == zero_key
 
     return _type_module(f.ring, len(cosets), _group_invariants(cosets, killed))
 
@@ -372,15 +351,10 @@ def padded_complex(maps: list[NatMorphism]) -> list[NatMorphism]:
     return [zero_nat(z, maps[0].source)] + list(maps) + [zero_nat(maps[-1].target, z)]
 
 
-def module_sequence_exact(
-    mors: list[ModMorphism], left_zero: bool = True, right_zero: bool = True
-) -> bool:
-    """Exactness of a (padded) sequence in the base category."""
-    seq = list(mors)
-    if left_zero:
-        seq.insert(0, zero_mor(FpModule.zero(seq[0].source.ring), seq[0].source))
-    if right_zero:
-        seq.append(zero_mor(seq[-1].target, FpModule.zero(seq[-1].target.ring)))
+def module_sequence_exact(mors: list[ModMorphism]) -> bool:
+    """Exactness of a sequence in the base category, padded with zero at both ends."""
+    zero = FpModule.zero(mors[0].source.ring)
+    seq = [zero_mor(zero, mors[0].source), *mors, zero_mor(mors[-1].target, zero)]
     for first, second in zip(seq, seq[1:]):
         if not _exact_at(first.target, first.mat, second.mat, second.target.rels):
             return False
@@ -454,10 +428,10 @@ def random_ses(rng: random.Random, ring: BaseRing, bounds: Bounds) -> ShortExact
     return ShortExactSequence(sub=sub, mid=g, quot=quot, incl=incl, proj=proj)
 
 
-def random_instance(kind: str, seed: int, ring: BaseRing | None = None, bounds: Bounds | None = None):
+def random_instance(kind: str, seed: int, ring: BaseRing | None = None):
     """Deterministic seeded instance of the requested kind."""
     ring = ring or BaseRing.integers()
-    bounds = bounds or Bounds()
+    bounds = Bounds()
     rng = _stream(seed, kind)
     if kind == "module":
         return random_module(rng, ring, bounds)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -179,8 +180,6 @@ class TestSolve:
         # exhaustive box search agrees with the solver on small systems;
         # the box radius is a Hadamard bound on a Cramer solution, so a
         # solvable system always has a witness inside the box
-        import itertools
-
         rng = random.Random(17)
         for _ in range(120):
             r, c = rng.randrange(0, 3), rng.randrange(0, 3)
@@ -282,6 +281,22 @@ class TestDet:
 
     def test_field(self):
         assert det(Matrix.from_rows(F5, [[2, 0], [0, 3]])) == 1  # 6 mod 5
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_field_matches_permutation_expansion(self, p):
+        ring = BaseRing.prime_field(p)
+        rng = random.Random(p)
+        for _ in range(60):
+            n = rng.randrange(0, 5)
+            rows = [[rng.choice([0, 0, rng.randrange(p)]) for _ in range(n)] for _ in range(n)]
+            want = 0
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                term = (-1) ** inversions
+                for i in range(n):
+                    term *= rows[i][perm[i]]
+                want += term
+            assert det(Matrix.from_rows(ring, rows, cols=n)) == want % p
 
 
 def test_xgcd():

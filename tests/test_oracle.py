@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import json
 import random
@@ -15,7 +17,9 @@ from cohfun import (
     four_term,
     yoneda_embed,
 )
+from cohfun import oracle
 from cohfun.formats import instance_payload
+from cohfun.modules import hom_group
 from cohfun.oracle import (
     Bounds,
     ProbeBattery,
@@ -26,13 +30,19 @@ from cohfun.oracle import (
     padded_complex,
     random_finite_module,
     random_instance,
+    random_functor,
+    random_module,
     verify_theorems,
     _divisor_chains,
+    _enum_homs,
+    _moduli,
     _run,
+    _stream,
 )
 from cohfun.cli import parse_workspace
 
 Z = BaseRing.integers()
+F5 = BaseRing.prime_field(5)
 
 
 def cyc(d):
@@ -85,8 +95,6 @@ class TestBruteEval:
             brute_eval(f, free(1))
 
     def test_agreement_with_evaluate(self):
-        from cohfun.oracle import random_functor, _stream
-
         battery = default_battery(Z)
         rng = _stream(100, "agree")
         checked = 0
@@ -111,6 +119,165 @@ class TestBruteHom:
     def test_noncyclic(self):
         a = FpModule(Z, 2, Matrix.from_rows(Z, [[2, 0], [0, 4]]))
         assert canonical_form(brute_hom(a, cyc(4))) == (0, (2, 4))
+
+
+FIELDS = [BaseRing.prime_field(2), BaseRing.prime_field(3), F5]
+
+
+class TestBruteOverFields:
+    """brute_hom and brute_eval agree with the symbolic side over F_p."""
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_hom_matches_hom_group(self, ring):
+        rng = _stream(0, "field-hom", ring)
+        bounds = Bounds(gens=3, rels=1, entry=3)
+        checked = 0
+        for _ in range(40):
+            a, b = random_module(rng, ring, bounds), random_module(rng, ring, bounds)
+            try:
+                want = brute_hom(a, b)
+            except ValueError:
+                continue  # oversized draw
+            checked += 1
+            assert canonical_form(want) == canonical_form(hom_group(a, b).group)
+        assert checked >= 30
+
+    @pytest.mark.parametrize("ring", FIELDS, ids=str)
+    def test_eval_matches_evaluate(self, ring):
+        battery = default_battery(ring)
+        rng = _stream(0, "field-eval", ring)
+        checked = 0
+        for _ in range(40):
+            f = random_functor(rng, ring, Bounds(gens=2, rels=2, entry=3))
+            probe = battery.probes[rng.randrange(len(battery.probes))]
+            try:
+                want = brute_eval(f, probe)
+            except ValueError:
+                continue  # oversized draw
+            checked += 1
+            assert canonical_form(want) == canonical_form(evaluate(f, probe))
+        assert checked >= 30
+
+
+class TestRefusals:
+    """The enumerators refuse at fixed thresholds with fixed messages."""
+
+    def test_infinite_module(self):
+        with pytest.raises(ValueError) as exc:
+            brute_hom(cyc(2), free(1))
+        assert str(exc.value) == "cannot enumerate an infinite module (free rank 1)"
+
+    def test_module_order(self):
+        assert canonical_form(brute_hom(free(1), cyc(64), cap=64)) == (0, (64,))
+        with pytest.raises(ValueError) as exc:
+            brute_hom(free(1), cyc(64), cap=63)
+        assert str(exc.value) == "module order 64 exceeds enumeration cap 63"
+
+    def test_hom_enumeration_size(self):
+        assert canonical_form(brute_hom(free(2), cyc(8), cap=64)) == (0, (8, 8))
+        with pytest.raises(ValueError) as exc:
+            brute_hom(free(2), cyc(8), cap=63)
+        assert str(exc.value) == "Hom enumeration size 8^2 exceeds cap 63"
+
+
+def _homs_by_product(src, moduli):
+    """Reference Hom enumerator: every assignment of a full product, filtered."""
+    elements = list(itertools.product(*(range(m) for m in moduli)))
+    rels = src.rels.entries
+    out = []
+    for images in itertools.product(elements, repeat=src.gens):
+        if all(
+            sum(rels[i][j] * images[i][t] for i in range(src.gens)) % m == 0
+            for j in range(src.rels.cols)
+            for t, m in enumerate(moduli)
+        ):
+            out.append(images)
+    return out
+
+
+def _finite_targets(ring):
+    """A cyclic target and a two-coordinate target."""
+    if ring.is_field:
+        return [FpModule.free(ring, 1), FpModule.free(ring, 2)]
+    return [FpModule.cyclic(ring, 6), FpModule(ring, 2, Matrix.from_rows(ring, [[2, 2], [0, 4]]))]
+
+
+class TestEnumHoms:
+    @pytest.mark.parametrize(
+        "gens, rels, cols",
+        [
+            (0, [], 2),  # no generators
+            (2, [[0, 2], [0, 3]], 2),  # an all-zero relation column
+            (3, [[4, 2], [0, 1], [0, 1]], 2),  # a relation on the first generator only
+            (2, [[], []], 0),  # no relations
+            (3, [[2, 0, 1], [-1, 3, 0], [0, 0, 2]], 3),
+        ],
+    )
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_shapes_match_product_reference(self, ring, gens, rels, cols):
+        src = FpModule(ring, gens, Matrix.from_rows(ring, rels, cols=cols))
+        for b in _finite_targets(ring):
+            moduli = _moduli(b)
+            assert _enum_homs(src, moduli, 10 ** 6) == _homs_by_product(src, moduli)
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_random_draws_match_product_reference(self, ring):
+        rng = _stream(0, "enum-homs", ring)
+        bounds = Bounds(gens=3, rels=3, entry=4)
+        for _ in range(30):
+            src = random_module(rng, ring, bounds)
+            if ring.is_field:
+                b = FpModule.free(ring, rng.randrange(1, 3))
+            else:
+                b = random_finite_module(rng, ring, max_order=12)
+            moduli = _moduli(b)
+            assert _enum_homs(src, moduli, 10 ** 6) == _homs_by_product(src, moduli)
+
+
+# The oracle's brute force, and what it may not read: the code it checks.
+BRUTE_FORCE = (
+    "brute_hom", "brute_eval", "_enum_homs", "_moduli", "_combine",
+    "_group_invariants", "_type_module", "_lattice_contains", "_field_solvable",
+)
+CHECKED = {"hom_group", "solve_matrix", "solve_linear", "express", "preimage_lattice"}
+
+
+def checked_names_read(source: str) -> dict[str, set[str]]:
+    """For each brute-force function in ``source``, the checked names it reads.
+
+    Checked are the names imported from ``.functors`` other than
+    ``CoherentFunctor``, and the solvers and Hom groups in CHECKED.
+    """
+    tree = ast.parse(source)
+    from_functors = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "functors"
+        for alias in node.names
+    }
+    checked = (from_functors - {"CoherentFunctor"}) | CHECKED
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in BRUTE_FORCE:
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            found[node.name] = read & checked
+    return found
+
+
+class TestIndependence:
+    def test_brute_force_reads_nothing_it_checks(self):
+        found = checked_names_read(inspect.getsource(oracle))
+        assert found == {name: set() for name in BRUTE_FORCE}
+
+    def test_checker_sees_a_yoneda_embed_call(self):
+        source = inspect.getsource(oracle)
+        tree = ast.parse(source)
+        brute_hom_node = next(
+            n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "brute_hom"
+        )
+        brute_hom_node.body = ast.parse("return brute_eval(yoneda_embed(a), b, cap)").body
+        assert checked_names_read(ast.unparse(tree))["brute_hom"] == {"yoneda_embed"}
 
 
 class TestCheckExact:
