@@ -314,13 +314,13 @@ def unvec(ring: BaseRing, column: Matrix, rows: int, cols: int) -> Matrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Smith decomposition u @ m @ v == s with unimodular u, v.
+    """Smith decomposition with unimodular u, v.
 
+    ``u @ m @ v`` is the diagonal matrix of ``diag``, of m's shape.
     ``diag`` lists the nonzero diagonal entries d_1 | d_2 | ... in
     canonical form (positive over Z, 1 over a prime field).
     """
 
-    s: Matrix
     u: Matrix
     v: Matrix
     diag: tuple[int, ...]
@@ -339,15 +339,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
-
-
-def _swap_rows(a: list, i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
-
-
-def _swap_cols(a: list, i: int, j: int) -> None:
-    for row in a:
-        row[i], row[j] = row[j], row[i]
 
 
 def _row_addmul(ring: BaseRing, a: list, dst: int, src: int, c: int) -> None:
@@ -387,14 +378,15 @@ def _col_combine(a: list, c1: int, c2: int, x: int, y: int, z: int, w: int) -> N
         row[c2] = z * p + w * q
 
 
-def _row_scale(ring: BaseRing, a: list, i: int, c: int) -> None:
-    norm = ring.normalize
-    a[i] = [norm(c * x) for x in a[i]]
-
-
 @functools.lru_cache(maxsize=None)
 def smith_normal_form(m: Matrix) -> SnfResult:
     """Diagonalize m over its ring, returning witnesses u, v as well.
+
+    The reduction runs on the bordered matrix [[m, I_R], [I_C, 0]]:
+    pivoting and clearing look only at the top-left R x C block, but
+    each row operation acts on a whole one of the first R rows and each
+    column operation on a whole one of the first C columns, so the same
+    operations build u in the top-right block and v in the bottom-left.
 
     Each stage picks a minimal-degree pivot and clears its row and
     column with single-shot unimodular 2x2 combines (gcd steps), which
@@ -405,13 +397,11 @@ def smith_normal_form(m: Matrix) -> SnfResult:
     """
     ring = m.ring
     R, C = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+    a = [list(row) + [1 if i == j else 0 for j in range(R)] for i, row in enumerate(m.entries)]
+    a += [[1 if i == j else 0 for j in range(C)] + [0] * R for i in range(C)]
 
-    limit = min(R, C)
     rank = 0
-    for t in range(limit):
+    for t in range(min(R, C)):
         piv = None
         best = None
         for i in range(t, R):
@@ -426,12 +416,9 @@ def smith_normal_form(m: Matrix) -> SnfResult:
         if piv is None:
             break
         rank = t + 1
-        if piv[0] != t:
-            _swap_rows(a, t, piv[0])
-            _swap_rows(u, t, piv[0])
-        if piv[1] != t:
-            _swap_cols(a, t, piv[1])
-            _swap_cols(v, t, piv[1])
+        a[t], a[piv[0]] = a[piv[0]], a[t]
+        for row in a:
+            row[t], row[piv[1]] = row[piv[1]], row[t]
         while True:
             for i in range(t + 1, R):
                 b = a[i][t]
@@ -441,11 +428,9 @@ def smith_normal_form(m: Matrix) -> SnfResult:
                 if ring.is_field or b % p0 == 0:
                     q, _ = ring.eucdiv(b, p0)
                     _row_addmul(ring, a, i, t, -q)
-                    _row_addmul(ring, u, i, t, -q)
                 else:
                     x, y, g = xgcd(p0, b)
                     _row_combine(a, t, i, x, y, -(b // g), p0 // g)
-                    _row_combine(u, t, i, x, y, -(b // g), p0 // g)
             col_mixed = False
             for j in range(t + 1, C):
                 b = a[t][j]
@@ -455,11 +440,9 @@ def smith_normal_form(m: Matrix) -> SnfResult:
                 if ring.is_field or b % p0 == 0:
                     q, _ = ring.eucdiv(b, p0)
                     _col_addmul(ring, a, j, t, -q)
-                    _col_addmul(ring, v, j, t, -q)
                 else:
                     x, y, g = xgcd(p0, b)
                     _col_combine(a, t, j, x, y, -(b // g), p0 // g)
-                    _col_combine(v, t, j, x, y, -(b // g), p0 // g)
                     col_mixed = True
             if not col_mixed:
                 break
@@ -480,29 +463,19 @@ def smith_normal_form(m: Matrix) -> SnfResult:
                         continue
                     done = False
                     _row_addmul(ring, a, i, j, 1)
-                    _row_addmul(ring, u, i, j, 1)
                     x, y, g = xgcd(di, dj)
                     _col_combine(a, i, j, x, y, -(dj // g), di // g)
-                    _col_combine(v, i, j, x, y, -(dj // g), di // g)
                     q = a[j][i] // a[i][i]
                     _row_addmul(ring, a, j, i, -q)
-                    _row_addmul(ring, u, j, i, -q)
 
     for i in range(rank):
-        x = a[i][i]
-        if x:
-            c = ring.canonical_scale(x)
-            if c != 1:
-                _row_scale(ring, a, i, c)
-                _row_scale(ring, u, i, c)
-    diag = tuple(a[i][i] for i in range(limit) if a[i][i])
-
-    s = Matrix(ring, R, C, tuple(tuple(row) for row in a))
+        c = ring.canonical_scale(a[i][i])
+        if c != 1:
+            a[i] = [ring.normalize(c * x) for x in a[i]]
     return SnfResult(
-        s=s,
-        u=Matrix(ring, R, R, tuple(tuple(row) for row in u)),
-        v=Matrix(ring, C, C, tuple(tuple(row) for row in v)),
-        diag=diag,
+        u=Matrix(ring, R, R, tuple(tuple(row[C:]) for row in a[:R])),
+        v=Matrix(ring, C, C, tuple(tuple(row[:C]) for row in a[R:])),
+        diag=tuple(a[i][i] for i in range(rank)),
     )
 
 
@@ -546,7 +519,7 @@ def hermite_basis(m: Matrix) -> Matrix:
         if scale != 1:
             acc = [ring.normalize(scale * x) for x in acc]
         for _, prev in result:
-            q = prev[i] // acc[i] if not ring.is_field else prev[i] * pow(acc[i], -1, ring.p) % ring.p
+            q = prev[i] // acc[i]
             if q:
                 for k in range(n):
                     prev[k] = ring.normalize(prev[k] - q * acc[k])
@@ -578,7 +551,7 @@ def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     c = snf.u @ b
     if any(any(row) for row in c.entries[r:]):
         return None
-    # u m v == s, so y == s^-1 (u b) on the first r rows, and 0 below;
+    # u m v == diag(d), so y == (u b) / d on the first r rows, and 0 below;
     # over F_p every d is 1, so the exact division holds there too
     y = []
     for d, row in zip(snf.diag, c.entries):

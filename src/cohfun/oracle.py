@@ -197,14 +197,13 @@ def _enum_homs(src: FpModule, moduli: tuple[int, ...], cap: int) -> list[tuple]:
     return partial
 
 
-def _group_invariants(elements: list, killed) -> tuple[int, ...]:
-    """Invariant factors of a finite group given by its element list.
+def _group_invariants(n: int, killed) -> tuple[int, ...]:
+    """Invariant factors of a finite group of order n.
 
-    ``killed(c, z)`` says whether c * z is zero.  Determined purely by
-    counting solutions of p^j * x == 0, prime by prime, so the answer
-    owes nothing to Smith normal form.
+    ``killed(c)`` counts the elements z with c * z == 0.  Determined
+    purely by counting solutions of p^j * x == 0, prime by prime, so the
+    answer owes nothing to Smith normal form.
     """
-    n = len(elements)
     if n <= 1:
         return ()
     factors_by_prime: dict[int, list[int]] = {}
@@ -223,7 +222,7 @@ def _group_invariants(elements: list, killed) -> tuple[int, ...]:
         lam = [0]
         j = 1
         while True:
-            cnt = sum(1 for z in elements if killed(p ** j, z))
+            cnt = killed(p ** j)
             e = 0
             while p ** e < cnt:
                 e += 1
@@ -270,8 +269,9 @@ def brute_eval(f: CoherentFunctor, a: FpModule, cap: int = DEFAULT_ENUM_CAP) -> 
     """F(a) by literal enumeration and an explicit set quotient.
 
     Enumerates Hom(X, a) and Hom(Y, a), forms the precomposition image,
-    and reads the quotient's type off coset representatives; the result
-    is isomorphic to evaluate(f, a) but shares none of its machinery.
+    and reads the quotient's type off how many elements each p^j sends
+    into the image; the result is isomorphic to evaluate(f, a) but
+    shares none of its machinery.
     """
     moduli = _moduli(a, cap)
     x, y = f.pres.source, f.pres.target
@@ -286,18 +286,16 @@ def brute_eval(f: CoherentFunctor, a: FpModule, cap: int = DEFAULT_ENUM_CAP) -> 
     def precompose(h: tuple) -> tuple:
         return tuple(v for col in fcols for v in _combine(col, h, moduli))
 
-    image = sorted({precompose(h) for h in homs_y})
+    image = {precompose(h) for h in homs_y}
+    order = len(homs_x) // len(image)
 
-    def coset_key(z):
-        return min(tuple((p + q) % m for p, q, m in zip(z, s, flat_moduli)) for s in image)
+    def killed(c):
+        # c kills the coset of z exactly when c * z lies in the image,
+        # and each coset holds |image| elements z
+        hits = sum(tuple(c * p % m for p, m in zip(z, flat_moduli)) in image for z in homs_x)
+        return hits // len(image)
 
-    cosets = sorted({coset_key(z) for z in homs_x})
-    zero_key = coset_key((0,) * len(flat_moduli))
-
-    def killed(c, z):
-        return coset_key(tuple((c * p) % m for p, m in zip(z, flat_moduli))) == zero_key
-
-    return _type_module(f.ring, len(cosets), _group_invariants(cosets, killed))
+    return _type_module(f.ring, order, _group_invariants(order, killed))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +532,8 @@ def case_snf_contract(rng: random.Random, ring: BaseRing, battery: ProbeBattery)
         cols=c,
     )
     res = smith_normal_form(m)
-    ok = (res.u @ m @ res.v) == res.s
+    s = Matrix.diagonal(ring, res.diag, m.rows, m.cols)
+    ok = (res.u @ m @ res.v) == s
     if ring.is_field:
         ok = ok and all(d == 1 for d in res.diag)
         ok = ok and det(res.u) != 0 and det(res.v) != 0
@@ -542,7 +541,7 @@ def case_snf_contract(rng: random.Random, ring: BaseRing, battery: ProbeBattery)
         ok = ok and all(b % a == 0 for a, b in zip(res.diag, res.diag[1:]))
         ok = ok and all(d > 0 for d in res.diag)
         ok = ok and abs(det(res.u)) == 1 and abs(det(res.v)) == 1
-    ok = ok and smith_normal_form(res.s).diag == res.diag
+    ok = ok and smith_normal_form(s).diag == res.diag
     if not ok:
         return {"matrix": m.to_lists()}
     return None

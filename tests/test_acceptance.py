@@ -95,7 +95,7 @@ def test_criterion_01_snf_suite():
                 cols=cols,
             )
             res = smith_normal_form(m)
-            assert res.u @ m @ res.v == res.s, case
+            assert res.u @ m @ res.v == Matrix.diagonal(Z, res.diag, rows, cols), case
             assert all(b % a == 0 for a, b in zip(res.diag, res.diag[1:])), case
             assert all(d > 0 for d in res.diag), case
             assert abs(det(res.u)) == 1 and abs(det(res.v)) == 1, case

@@ -1,6 +1,8 @@
-"""Every module-level import in the package is used by the module itself.
+"""Nothing in the package is dead weight.
 
-``__init__.py`` is skipped: its imports are the package's re-exports.
+Every module-level import is used by the module itself (``__init__.py``
+is skipped: its imports are the package's re-exports), and every private
+function or method is read somewhere in the package.
 """
 
 import ast
@@ -42,3 +44,36 @@ def test_checker_sees_unused_and_quoted_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_helpers(sources: list[str]) -> list[str]:
+    """Private (``_name``, not dunder) functions and methods nothing reads."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted(defined - read)
+
+
+def test_checker_sees_an_unused_private_helper():
+    source = "def _used(): pass\ndef _dead(): pass\nclass K:\n    def __init__(self): _used()\n"
+    assert unused_private_helpers([source]) == ["_dead"]
+
+
+def test_no_unused_private_helpers():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    assert unused_private_helpers(sources) == []

@@ -33,6 +33,11 @@ def rand_matrix(rng, ring, max_dim=6, lo=-9, hi=9):
     )
 
 
+def smith_form(m, res):
+    """The diagonal matrix of res.diag, of m's shape: what u @ m @ v must equal."""
+    return Matrix.diagonal(m.ring, res.diag, m.rows, m.cols)
+
+
 class TestRing:
     def test_prime_field_rejects_composites(self):
         with pytest.raises(ValueError):
@@ -61,7 +66,38 @@ class TestSmith:
         m = Matrix.from_rows(Z, [[2, 0], [0, 3]])
         res = smith_normal_form(m)
         assert res.diag == (1, 6)
-        assert res.u @ m @ res.v == res.s
+        assert res.u @ m @ res.v == smith_form(m, res)
+
+    @pytest.mark.parametrize(
+        "ring, rows, cols, u, v, diag",
+        [
+            # the divisibility repair turns (2, 3) into (1, 6)
+            (Z, [[2, 0], [0, 3]], 2, [[1, 1], [-3, -2]], [[-1, -3], [1, 2]], (1, 6)),
+            # 3 is not a multiple of the pivot 2: a column gcd step
+            (Z, [[2, 3], [4, 5]], 2, [[1, 0], [1, -1]], [[-1, -3], [1, 2]], (1, 2)),
+            (
+                Z,
+                [[6, 4, 10], [3, 8, 2]],
+                3,
+                [[0, 1], [-1, -4]],
+                [[1, 2, -4], [0, 0, 1], [-1, -3, 2]],
+                (1, 18),
+            ),
+            (
+                F5,
+                [[2, 4], [3, 1], [1, 3]],
+                2,
+                [[3, 0, 0], [2, 0, 1], [1, 1, 0]],
+                [[1, 3], [0, 1]],
+                (1, 1),
+            ),
+            (Z, [], 3, [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], ()),
+        ],
+    )
+    def test_witnesses_pinned(self, ring, rows, cols, u, v, diag):
+        m = Matrix.from_rows(ring, rows, cols=cols)
+        res = smith_normal_form(m)
+        assert (res.u.to_lists(), res.v.to_lists(), res.diag) == (u, v, diag)
 
     def test_empty(self):
         assert smith_normal_form(Matrix.zeros(Z, 0, 0)).diag == ()
@@ -72,23 +108,24 @@ class TestSmith:
 
     def test_zero_dims(self):
         for r, c in [(0, 4), (4, 0), (0, 0)]:
-            res = smith_normal_form(Matrix.zeros(Z, r, c))
+            m = Matrix.zeros(Z, r, c)
+            res = smith_normal_form(m)
             assert res.diag == ()
-            assert res.u @ Matrix.zeros(Z, r, c) @ res.v == res.s
+            assert res.u @ m @ res.v == smith_form(m, res)
 
     def test_idempotent_on_smith_form(self):
         rng = random.Random(7)
         for _ in range(100):
             m = rand_matrix(rng, Z)
             res = smith_normal_form(m)
-            assert smith_normal_form(res.s).diag == res.diag
+            assert smith_normal_form(smith_form(m, res)).diag == res.diag
 
     def test_seeded_contract(self):
         rng = random.Random(0)
         for case in range(250):
             m = rand_matrix(rng, Z)
             res = smith_normal_form(m)
-            assert res.u @ m @ res.v == res.s, case
+            assert res.u @ m @ res.v == smith_form(m, res), case
             assert all(b % a == 0 for a, b in zip(res.diag, res.diag[1:]))
             assert all(d > 0 for d in res.diag)
             assert abs(det(res.u)) == 1
@@ -99,7 +136,7 @@ class TestSmith:
         for _ in range(150):
             m = rand_matrix(rng, F5, lo=0, hi=4)
             res = smith_normal_form(m)
-            assert res.u @ m @ res.v == res.s
+            assert res.u @ m @ res.v == smith_form(m, res)
             assert all(d == 1 for d in res.diag)
             assert det(res.u) != 0 and det(res.v) != 0
 
@@ -114,7 +151,7 @@ class TestSmith:
     def test_contract_hypothesis(self, rows):
         m = Matrix.from_rows(Z, rows)
         res = smith_normal_form(m)
-        assert res.u @ m @ res.v == res.s
+        assert res.u @ m @ res.v == smith_form(m, res)
         assert all(b % a == 0 for a, b in zip(res.diag, res.diag[1:]))
 
 

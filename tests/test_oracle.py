@@ -35,6 +35,7 @@ from cohfun.oracle import (
     verify_theorems,
     _divisor_chains,
     _enum_homs,
+    _group_invariants,
     _moduli,
     _run,
     _stream,
@@ -232,6 +233,25 @@ class TestEnumHoms:
                 b = random_finite_module(rng, ring, max_order=12)
             moduli = _moduli(b)
             assert _enum_homs(src, moduli, 10 ** 6) == _homs_by_product(src, moduli)
+
+
+@pytest.mark.parametrize(
+    "moduli, invariants",
+    [
+        ((4, 2), (2, 4)),
+        ((6,), (6,)),
+        ((2, 2, 3), (2, 6)),
+        ((9, 3), (3, 9)),
+        ((), ()),
+    ],
+)
+def test_group_invariants_of_known_groups(moduli, invariants):
+    elements = list(itertools.product(*(range(m) for m in moduli)))
+
+    def killed(c):
+        return sum(1 for z in elements if all(c * x % m == 0 for x, m in zip(z, moduli)))
+
+    assert _group_invariants(len(elements), killed) == invariants
 
 
 # The oracle's brute force, and what it may not read: the code it checks.
