@@ -39,35 +39,13 @@ from .functors import (
 )
 from . import oracle
 from .formats import (
-    PayloadBuilder,
+    Workspace,
+    WorkspaceError,
     instance_payload,
     matrix_from_obj,
     render_matrix,
     ring_from_str,
 )
-
-
-class WorkspaceError(ValueError):
-    """Input problem; maps to exit code 2 and names the offending field."""
-
-
-@dataclass
-class Workspace:
-    ring: BaseRing
-    modules: dict[str, FpModule] = field(default_factory=dict)
-    morphisms: dict[str, ModMorphism] = field(default_factory=dict)
-    functors: dict[str, CoherentFunctor] = field(default_factory=dict)
-    nats: dict[str, NatMorphism] = field(default_factory=dict)
-
-    def module(self, name: str) -> FpModule:
-        if name not in self.modules:
-            raise WorkspaceError(f"unknown module {name!r}")
-        return self.modules[name]
-
-    def functor(self, name: str) -> CoherentFunctor:
-        if name not in self.functors:
-            raise WorkspaceError(f"unknown functor {name!r}")
-        return self.functors[name]
 
 
 def _no_duplicates(pairs):
@@ -87,6 +65,11 @@ def parse_workspace(text: str) -> Workspace:
         raise WorkspaceError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except WorkspaceError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # nesting too deep to decode, or an integer literal too long to convert
+        raise WorkspaceError(f"unreadable workspace: {exc}") from None
     if not isinstance(raw, dict):
         raise WorkspaceError("workspace must be a JSON object")
     unknown = set(raw) - {"ring", "modules", "morphisms", "functors", "nats"}
@@ -176,8 +159,7 @@ def parse_workspace(text: str) -> Workspace:
 
 def render_workspace(ws: Workspace) -> str:
     """Canonical text; parse(render(ws)) reproduces ws exactly."""
-    builder = PayloadBuilder(ws.ring, ws.modules, ws.morphisms, ws.functors, ws.nats)
-    return json.dumps(builder.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(ws.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _battery_from_spec(ring: BaseRing, spec: str | None) -> oracle.ProbeBattery:
@@ -331,8 +313,7 @@ def _random(ws, args, out, battery) -> int:
     inst = oracle.random_instance(args.kind, args.seed, ring=ws.ring)
     if isinstance(inst, oracle.ShortExactSequence):
         inst = [inst.incl, inst.proj]
-    payload = instance_payload(inst, ring=ws.ring)
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out.write(json.dumps(instance_payload(inst), indent=2, sort_keys=True) + "\n")
     return 0
 
 

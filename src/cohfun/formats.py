@@ -1,13 +1,17 @@
 """Structured encodings shared by the CLI and the verification layer.
 
 Matrices travel as {"rows": r, "cols": c, "data": [...]} with row-major
-flat data, so zero-sized matrices keep their dimensions.  Instances
-(modules, morphisms, functors, transformations) serialize into small
-self-contained workspace dictionaries, which is also the re-run format
-for failure payloads.
+flat data, so zero-sized matrices keep their dimensions.  A
+``Workspace`` holds named modules, morphisms, functors and
+transformations over one ring: it is what a workspace file parses to,
+and instances added to one serialize into the small self-contained
+workspace dictionaries that are also the re-run format for failure
+payloads.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from .linalg import BaseRing, Matrix
 from .modules import FpModule, ModMorphism
@@ -68,129 +72,113 @@ def render_matrix(m: Matrix) -> str:
     return str(m.to_lists())
 
 
-class PayloadBuilder:
-    """Accumulates instances into one self-contained workspace dict."""
+class WorkspaceError(ValueError):
+    """Input problem; maps to exit code 2 and names the offending field."""
 
-    def __init__(
-        self,
-        ring: BaseRing,
-        modules: dict[str, FpModule] | None = None,
-        morphisms: dict[str, ModMorphism] | None = None,
-        functors: dict[str, CoherentFunctor] | None = None,
-        nats: dict[str, NatMorphism] | None = None,
-    ):
-        """Start empty, or from instances that already have names."""
-        self.ring = ring
-        self.modules = dict(modules or {})
-        self.morphisms = dict(morphisms or {})
-        self.functors = dict(functors or {})
-        self.nats = dict(nats or {})
-        self._module_names = {m: n for n, m in self.modules.items()}
-        self._morphism_names = {phi.key(): n for n, phi in self.morphisms.items()}
-        self._functor_names = {f.pres.key(): n for n, f in self.functors.items()}
 
-    def add_module(self, m: FpModule, hint: str = "M") -> str:
-        if m in self._module_names:
-            return self._module_names[m]
-        name = f"{hint}{len(self.modules)}"
-        self.modules[name] = m
-        self._module_names[m] = name
-        return name
+def _names(table: dict, key=lambda obj: obj) -> dict:
+    """Reverse map from each entry's key to its name; the last name wins."""
+    return {key(obj): name for name, obj in table.items()}
 
-    def add_morphism(self, phi: ModMorphism, hint: str = "f") -> str:
-        key = phi.key()
-        if key in self._morphism_names:
-            return self._morphism_names[key]
-        self.add_module(phi.source)
-        self.add_module(phi.target)
-        name = f"{hint}{len(self.morphisms)}"
-        self.morphisms[name] = phi
-        self._morphism_names[key] = name
-        return name
 
-    def add_functor(self, f: CoherentFunctor, hint: str = "F") -> str:
-        key = f.pres.key()
-        if key in self._functor_names:
-            return self._functor_names[key]
-        self.add_morphism(f.pres, hint="pres")
-        name = f"{hint}{len(self.functors)}"
-        self.functors[name] = f
-        self._functor_names[key] = name
-        return name
+def _named(table: dict, prefix: str, obj, key=lambda obj: obj) -> str:
+    """Name ``obj`` in ``table``: an entry with the same key keeps its name;
+    otherwise, and always when ``key`` is None, ``obj`` enters under the
+    first unused ``prefix<k>`` with k >= len(table)."""
+    if key is not None and key(obj) in (names := _names(table, key)):
+        return names[key(obj)]
+    k = len(table)
+    while f"{prefix}{k}" in table:
+        k += 1
+    table[f"{prefix}{k}"] = obj
+    return f"{prefix}{k}"
 
-    def add_nat(self, alpha: NatMorphism, hint: str = "n") -> str:
-        self.add_functor(alpha.source)
-        self.add_functor(alpha.target)
-        name = f"{hint}{len(self.nats)}"
-        self.nats[name] = alpha
-        return name
+
+@dataclass
+class Workspace:
+    """Named modules, morphisms, functors and transformations over one ring:
+    a parsed workspace file, or a payload that ``add`` fills."""
+
+    ring: BaseRing
+    modules: dict[str, FpModule] = field(default_factory=dict)
+    morphisms: dict[str, ModMorphism] = field(default_factory=dict)
+    functors: dict[str, CoherentFunctor] = field(default_factory=dict)
+    nats: dict[str, NatMorphism] = field(default_factory=dict)
+
+    def module(self, name: str) -> FpModule:
+        if name not in self.modules:
+            raise WorkspaceError(f"unknown module {name!r}")
+        return self.modules[name]
+
+    def functor(self, name: str) -> CoherentFunctor:
+        if name not in self.functors:
+            raise WorkspaceError(f"unknown functor {name!r}")
+        return self.functors[name]
+
+    def add(self, obj) -> str:
+        """Name ``obj`` and the parts it refers to, and return its name.
+
+        An equal module or functor, or a morphism with the same
+        ``key()``, keeps the name it has; every transformation gets a
+        new one.  New names are ``M<k>``, ``f<k>``, ``pres<k>`` (a
+        functor's presentation), ``F<k>`` and ``n<k>``.
+        """
+        if isinstance(obj, FpModule):
+            return _named(self.modules, "M", obj)
+        if isinstance(obj, ModMorphism):
+            self.add(obj.source)
+            self.add(obj.target)
+            return _named(self.morphisms, "f", obj, ModMorphism.key)
+        if isinstance(obj, CoherentFunctor):
+            self.add(obj.source_module)
+            self.add(obj.target_module)
+            _named(self.morphisms, "pres", obj.pres, ModMorphism.key)
+            return _named(self.functors, "F", obj)
+        if isinstance(obj, NatMorphism):
+            self.add(obj.source)
+            self.add(obj.target)
+            return _named(self.nats, "n", obj, key=None)
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
     def to_dict(self) -> dict:
-        out: dict = {"ring": ring_to_str(self.ring)}
-        if self.modules:
-            out["modules"] = {
+        module_names = _names(self.modules)
+        morphism_names = _names(self.morphisms, ModMorphism.key)
+        functor_names = _names(self.functors)
+        out = {
+            "ring": ring_to_str(self.ring),
+            "modules": {
                 name: {"gens": m.gens, "rels": matrix_to_obj(m.rels)}
                 for name, m in self.modules.items()
-            }
-        if self.morphisms:
-            out["morphisms"] = {
+            },
+            "morphisms": {
                 name: {
-                    "source": self._module_names[phi.source],
-                    "target": self._module_names[phi.target],
+                    "source": module_names[phi.source],
+                    "target": module_names[phi.target],
                     "mat": matrix_to_obj(phi.mat),
                 }
                 for name, phi in self.morphisms.items()
-            }
-        if self.functors:
-            out["functors"] = {
-                name: {"pres": self._morphism_names[f.pres.key()]}
+            },
+            "functors": {
+                name: {"pres": morphism_names[f.pres.key()]}
                 for name, f in self.functors.items()
-            }
-        if self.nats:
-            out["nats"] = {
+            },
+            "nats": {
                 name: {
-                    "source": self._functor_names[alpha.source.pres.key()],
-                    "target": self._functor_names[alpha.target.pres.key()],
+                    "source": functor_names[alpha.source],
+                    "target": functor_names[alpha.target],
                     "a": matrix_to_obj(alpha.a.mat),
                     "b": matrix_to_obj(alpha.b.mat),
                 }
                 for name, alpha in self.nats.items()
-            }
-        return out
+            },
+        }
+        return {key: value for key, value in out.items() if value}  # no empty sections
 
 
-def instance_payload(obj, ring: BaseRing | None = None) -> dict:
-    """A self-contained, re-runnable workspace dict for one instance."""
-    if isinstance(obj, FpModule):
-        b = PayloadBuilder(obj.ring)
-        b.add_module(obj)
-    elif isinstance(obj, ModMorphism):
-        b = PayloadBuilder(obj.source.ring)
-        b.add_morphism(obj)
-    elif isinstance(obj, CoherentFunctor):
-        b = PayloadBuilder(obj.ring)
-        b.add_functor(obj)
-    elif isinstance(obj, NatMorphism):
-        b = PayloadBuilder(obj.source.ring)
-        b.add_nat(obj)
-    elif isinstance(obj, (list, tuple)):
-        if ring is None:
-            raise ValueError("payload for a collection needs an explicit ring")
-        b = PayloadBuilder(ring)
-        for item in obj:
-            instance_into(b, item)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    return b.to_dict()
-
-
-def instance_into(b: PayloadBuilder, obj) -> str:
-    if isinstance(obj, FpModule):
-        return b.add_module(obj)
-    if isinstance(obj, ModMorphism):
-        return b.add_morphism(obj)
-    if isinstance(obj, CoherentFunctor):
-        return b.add_functor(obj)
-    if isinstance(obj, NatMorphism):
-        return b.add_nat(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def instance_payload(obj) -> dict:
+    """A re-runnable workspace dict for one instance or a nonempty list of them."""
+    items = obj if isinstance(obj, (list, tuple)) else [obj]
+    ws = Workspace(items[0].ring)
+    for item in items:
+        ws.add(item)
+    return ws.to_dict()

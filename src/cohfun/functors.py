@@ -180,6 +180,10 @@ class NatMorphism:
         return self + (-other)
 
     @property
+    def ring(self):
+        return self.source.ring
+
+    @property
     def is_zero(self) -> bool:
         ev = _evaluation(self.target, self.source.source_module)
         return ev.is_zero_class(self.a)
@@ -232,8 +236,8 @@ class NatGroup:
     source: CoherentFunctor
     target: CoherentFunctor
     group: FpModule
-    _ev_x: Evaluation
-    _incl: ModMorphism
+    ev_x: Evaluation
+    incl: ModMorphism
 
     @cached_property
     def reps(self) -> tuple[NatMorphism, ...]:
@@ -249,11 +253,11 @@ class NatGroup:
         for alpha in alphas:
             if alpha.source != self.source or alpha.target != self.target:
                 raise ValueError("transformation does not belong to this Nat group")
-        return self.coords_from_hom(self._ev_x.hom_x.coords_all([alpha.a for alpha in alphas]))
+        return self.coords_from_hom(self.ev_x.hom_x.coords_all([alpha.a for alpha in alphas]))
 
     def coords_from_hom(self, x: Matrix) -> Matrix:
         """Coordinates of the transformations whose a components have Hom coordinates ``x``."""
-        c = express(self._incl.mat, self._ev_x.module.rels, x)
+        c = express(self.incl.mat, self.ev_x.module.rels, x)
         if c is None:
             raise ValueError("transformation escaped its Nat group; inconsistent data")
         return c
@@ -261,7 +265,7 @@ class NatGroup:
     def from_coords(self, coeffs: Matrix) -> NatMorphism:
         """The transformation with these coordinates; its b component is solved for."""
         f, g = self.source, self.target
-        a = self._ev_x.hom_x.from_coords(self._incl.mat @ coeffs)
+        a = self.ev_x.hom_x.from_coords(self.incl.mat @ coeffs)
         b = _evaluation(g, f.target_module).factor_precompose(compose_mor(f.pres, a))
         if b is None:
             raise ValueError("a component does not define a transformation")
@@ -276,7 +280,7 @@ def nat_group(f: CoherentFunctor, g: CoherentFunctor) -> NatGroup:
     ev_y = _evaluation(g, f.target_module)
     gf = ModMorphism(ev_x.module, ev_y.module, ev_y.hom_x.induced(ev_x.hom_x, post=f.pres))
     k, incl = kernel_mor(gf)
-    return NatGroup(source=f, target=g, group=k, _ev_x=ev_x, _incl=incl)
+    return NatGroup(source=f, target=g, group=k, ev_x=ev_x, incl=incl)
 
 
 def nat_lift(
@@ -298,12 +302,12 @@ def nat_lift(
     post_ends = (g, g) if post is None else (post.source, post.target)
     if pre_ends != (codomain.source, f) or post_ends != (g, codomain.target):
         raise ValueError("nat_lift endpoint mismatch")
-    hom = codomain._ev_x.hom_x.induced(
-        domain._ev_x.hom_x,
+    hom = codomain.ev_x.hom_x.induced(
+        domain.ev_x.hom_x,
         pre=None if post is None else post.a,
         post=None if pre is None else pre.a,
     )
-    comp = codomain.coords_from_hom(hom @ domain._incl.mat)
+    comp = codomain.coords_from_hom(hom @ domain.incl.mat)
     return express(comp, codomain.group.rels, codomain.coords(target))
 
 

@@ -152,6 +152,10 @@ class ModMorphism:
         return ModMorphism(self.source, self.target, -self.mat)
 
     @property
+    def ring(self) -> BaseRing:
+        return self.source.ring
+
+    @property
     def is_zero(self) -> bool:
         return solve_matrix(self.target.rels, self.mat) is not None
 

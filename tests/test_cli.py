@@ -4,13 +4,27 @@ from pathlib import Path
 
 import pytest
 
+from cohfun import (
+    BaseRing,
+    CoherentFunctor,
+    FpModule,
+    Matrix,
+    ModMorphism,
+    identity_nat,
+    oracle,
+)
 from cohfun.cli import WorkspaceError, main, parse_workspace, render_workspace
+from cohfun.formats import Workspace, instance_payload
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 QUOTIENT_COMMANDS = ["w F", "fourterm F", "r0 F", "l0 F", "stab-inj F", "is-rep F"]
 YONEDA_COMMANDS = ["resolve G", "is-inj G", "w G", "eval G C2", "nat G G"]
+
+Z = BaseRing.integers()
+F5 = BaseRing.prime_field(5)
+KINDS = ["module", "morphism", "functor", "nat", "ses"]
 
 EMPTY_RELS = {"rows": 1, "cols": 0, "data": []}
 TRUE_RELS = {"rows": 1, "cols": 1, "data": [True]}
@@ -93,6 +107,11 @@ class TestParsing:
             }
         )
         with pytest.raises(WorkspaceError, match="modules.A"):
+            parse_workspace(text)
+
+    def test_duplicate_message_passes_through(self):
+        text = '{"ring": "Z", "nats": {}, "nats": {}}'
+        with pytest.raises(WorkspaceError, match=r"^duplicate name 'nats'$"):
             parse_workspace(text)
 
     def test_functor_only_workspace_valid(self):
@@ -214,6 +233,24 @@ class TestCommands:
         assert "Traceback" not in err
         assert any("error:" in line and named in line for line in err.splitlines()), err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"ring": "Z", "modules": ' + "[" * 100_000 + "]" * 100_000 + "}",
+            '{"ring": "Z", "modules": {"A": {"gens": 1, "rels": '
+            '{"rows": 1, "cols": 1, "data": [' + "7" * 5000 + "]}}}}",
+        ],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_unreadable_workspace_exit_2(self, text, tmp_path, capsys):
+        path = tmp_path / "ws.json"
+        path.write_text(text)
+        code, out = run_cli(["--input", str(path), "w", "F"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: unreadable workspace: "), err
+
     def test_non_utf8_input_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bin.json"
         path.write_bytes(b"\xff\xfe")
@@ -235,6 +272,48 @@ class TestCommands:
             "eval", "nat", "w", "fourterm", "r0", "l0", "stab-inj", "stab-proj",
             "resolve", "is-rep", "is-inj", "check", "random",
         }
+
+
+class TestPayloads:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("ring", [Z, F5], ids=["Z", "F5"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_payload_is_a_canonical_workspace(self, kind, ring, seed):
+        inst = oracle.random_instance(kind, seed, ring=ring)
+        if kind == "ses":
+            inst = [inst.incl, inst.proj]
+        p = instance_payload(inst)
+        assert render_workspace(parse_workspace(json.dumps(p))) == (
+            json.dumps(p, indent=2, sort_keys=True) + "\n"
+        )
+
+    def test_naming_rules(self):
+        a, b = FpModule.cyclic(Z, 2), FpModule.cyclic(Z, 4)
+        phi = ModMorphism(a, b, Matrix.from_rows(Z, [[2]]))
+        back = ModMorphism(b, a, Matrix.from_rows(Z, [[1]]))
+        f, g = CoherentFunctor(phi), CoherentFunctor(back)
+        ws = Workspace(Z)
+        assert [ws.add(x) for x in (a, phi, f, g)] == ["M0", "f0", "F0", "F1"]
+        # equal modules and functors and same-key morphisms keep their names
+        assert [ws.add(x) for x in (FpModule.cyclic(Z, 2), f, back)] == ["M0", "F0", "pres1"]
+        # an equal morphism with other data is a new entry
+        assert ws.add(ModMorphism(b, a, Matrix.from_rows(Z, [[3]]))) == "f2"
+        assert list(ws.modules) == ["M0", "M1"]
+        assert list(ws.morphisms) == ["f0", "pres1", "f2"]
+        # every transformation gets a new name, even the same one added twice
+        alpha = identity_nat(f)
+        assert [ws.add(alpha), ws.add(alpha)] == ["n0", "n1"]
+        assert ws.to_dict()["functors"] == {"F0": {"pres": "f0"}, "F1": {"pres": "pres1"}}
+
+    def test_add_never_overwrites_a_parsed_name(self):
+        ws = parse_workspace(json.dumps({
+            "ring": "Z",
+            "modules": {"M1": {"gens": 1, "rels": {"rows": 1, "cols": 1, "data": [2]}}},
+        }))
+        taken = ws.modules["M1"]
+        assert ws.add(FpModule.cyclic(Z, 3)) == "M2"
+        assert ws.modules["M1"] is taken
+        assert ws.add(FpModule.cyclic(Z, 2)) == "M1"
 
 
 class TestGolden:

@@ -1,8 +1,9 @@
 """Nothing in the package is dead weight.
 
 Every module-level import is used by the module itself (``__init__.py``
-is skipped: its imports are the package's re-exports), and every private
-function or method is read somewhere in the package.
+is skipped: its imports are the package's re-exports), every private
+function or method is read somewhere in the package, and private
+attributes are read only through ``self`` or ``cls``.
 """
 
 import ast
@@ -77,3 +78,30 @@ def test_checker_sees_an_unused_private_helper():
 def test_no_unused_private_helpers():
     sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
     assert unused_private_helpers(sources) == []
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """Reads of ``obj._x`` (dunders excluded) where obj is not ``self`` or ``cls``."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+def test_checker_sees_a_foreign_private_read():
+    source = (
+        "class K:\n"
+        "    def f(self, other):\n"
+        "        self._a = other._b + self._c + cls._d + other.__len__() + other.e\n"
+    )
+    assert foreign_private_reads(source) == ["other._b"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_attributes_read_only_through_self(path):
+    assert foreign_private_reads(path.read_text(encoding="utf-8")) == []

@@ -457,6 +457,28 @@ class TestReports:
         names = {r.name for r in reports}
         assert {"yoneda", "coyoneda", "four-term", "resolutions", "w-exactness"} <= names
 
+    def test_semisimple_collapse_fails_on_a_zero_unit(self, monkeypatch):
+        # a zero unit is an iso only where F vanishes; the case must name the probe
+        battery = default_battery(F5)
+        real_r0 = oracle.r0_functor
+
+        def zero_unit(f):
+            r0, _ = real_r0(f)
+            return r0, oracle.zero_nat(f, r0)
+
+        monkeypatch.setattr(oracle, "r0_functor", zero_unit)
+        failed = 0
+        for idx in range(8):
+            f = random_functor(_stream(0, "semisimple", idx), F5, Bounds())
+            alive = [p for p in battery.probes if not evaluate(f, p).is_zero]
+            got = oracle.case_semisimple_collapse(_stream(0, "semisimple", idx), F5, battery)
+            if alive:
+                failed += 1
+                assert got["reason"] == f"unit not iso at {alive[0].describe()}"
+            else:
+                assert got is None
+        assert failed
+
     @pytest.mark.parametrize("cases", [0, 1, 4])
     @pytest.mark.parametrize("ring", [Z, BaseRing.prime_field(5)], ids=["Z", "Fp5"])
     def test_report_names_and_counts_pinned(self, ring, cases):
