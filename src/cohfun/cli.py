@@ -12,6 +12,7 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -372,7 +373,10 @@ def _count_arg(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` leaves it unchanged,
+    building a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="cohfun",
         description="Exact computations with coherent functors over f.p. modules.",

@@ -81,6 +81,15 @@ def _names(table: dict, key=lambda obj: obj) -> dict:
     return {key(obj): name for name, obj in table.items()}
 
 
+def _namer(table: dict, key=lambda obj: obj):
+    """Name of a part ``table`` holds: by identity of the stored object
+    first, so equal entries keep their own names, then by ``key`` for a
+    part that ``add`` merged into an equal entry."""
+    by_id = {id(obj): name for name, obj in table.items()}
+    by_key = _names(table, key)
+    return lambda obj: by_id[id(obj)] if id(obj) in by_id else by_key[key(obj)]
+
+
 def _named(table: dict, prefix: str, obj, key=lambda obj: obj) -> str:
     """Name ``obj`` in ``table``: an entry with the same key keeps its name;
     otherwise, and always when ``key`` is None, ``obj`` enters under the
@@ -141,9 +150,9 @@ class Workspace:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
     def to_dict(self) -> dict:
-        module_names = _names(self.modules)
-        morphism_names = _names(self.morphisms, ModMorphism.key)
-        functor_names = _names(self.functors)
+        module_name = _namer(self.modules)
+        morphism_name = _namer(self.morphisms, ModMorphism.key)
+        functor_name = _namer(self.functors)
         out = {
             "ring": ring_to_str(self.ring),
             "modules": {
@@ -152,20 +161,20 @@ class Workspace:
             },
             "morphisms": {
                 name: {
-                    "source": module_names[phi.source],
-                    "target": module_names[phi.target],
+                    "source": module_name(phi.source),
+                    "target": module_name(phi.target),
                     "mat": matrix_to_obj(phi.mat),
                 }
                 for name, phi in self.morphisms.items()
             },
             "functors": {
-                name: {"pres": morphism_names[f.pres.key()]}
+                name: {"pres": morphism_name(f.pres)}
                 for name, f in self.functors.items()
             },
             "nats": {
                 name: {
-                    "source": functor_names[alpha.source],
-                    "target": functor_names[alpha.target],
+                    "source": functor_name(alpha.source),
+                    "target": functor_name(alpha.target),
                     "a": matrix_to_obj(alpha.a.mat),
                     "b": matrix_to_obj(alpha.b.mat),
                 }

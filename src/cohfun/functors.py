@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .linalg import Matrix, express, hstack, solve_matrix, vstack
+from .linalg import Matrix, express, hstack, vstack
 from .modules import (
     FpModule,
     HomGroup,
@@ -98,11 +98,11 @@ class Evaluation:
 
     def is_zero_class(self, m: ModMorphism) -> bool:
         """True when the class of m : X -> at vanishes in F(at)."""
-        return solve_matrix(self.module.rels, self.hom_x.coords(m)) is not None
+        return self.module.snf.contains(self.hom_x.coords(m))
 
     def factor_precompose(self, m: ModMorphism) -> ModMorphism | None:
         """h : Y -> at with h∘f equal to m as morphisms, if one exists."""
-        z = solve_matrix(self.module.rels, self.hom_x.coords(m))
+        z = self.module.snf.solve(self.hom_x.coords(m))
         if z is None:
             return None
         beta = z.slice_rows(self.hom_x.group.rels.cols, z.rows)

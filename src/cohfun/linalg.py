@@ -314,16 +314,52 @@ def unvec(ring: BaseRing, column: Matrix, rows: int, cols: int) -> Matrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Smith decomposition with unimodular u, v.
+    """Smith decomposition with unimodular u, v, and the solver for m.
 
     ``u @ m @ v`` is the diagonal matrix of ``diag``, of m's shape.
     ``diag`` lists the nonzero diagonal entries d_1 | d_2 | ... in
     canonical form (positive over Z, 1 over a prime field).
+
+    m @ x == b is solvable exactly when c = u @ b vanishes below the
+    rank and each d_i divides row i of c; then v[:, :r] @ (c[:r] / d)
+    is a solution.  ``contains`` asks only the first question.
     """
 
     u: Matrix
     v: Matrix
     diag: tuple[int, ...]
+
+    @functools.cached_property
+    def _v_image(self) -> Matrix:
+        return self.v.slice_cols(0, len(self.diag))
+
+    def _reduced(self, b: Matrix) -> tuple[tuple[int, ...], ...] | None:
+        """Rows of y with diag(d) @ y == (u @ b)[:r], or None if m x == b has no solution."""
+        c = self.u @ b
+        r = len(self.diag)
+        if any(any(row) for row in c.entries[r:]):
+            return None
+        # over F_p every d is 1, so y is the first r rows of u @ b there
+        y = []
+        for d, row in zip(self.diag, c.entries):
+            if d != 1:
+                if any(x % d for x in row):
+                    return None
+                row = tuple(x // d for x in row)
+            y.append(row)
+        return tuple(y)
+
+    def contains(self, b: Matrix) -> bool:
+        """True when every column of b lies in the column span of m."""
+        return self._reduced(b) is not None
+
+    def solve(self, b: Matrix) -> Matrix | None:
+        """Particular solution x of m @ x == b, or None if none exists."""
+        y = self._reduced(b)
+        if y is None:
+            return None
+        v = self._v_image
+        return v @ Matrix(v.ring, v.cols, b.cols, y)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -546,19 +582,7 @@ def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
         raise ValueError("ring mismatch in solve")
     if m.rows != b.rows:
         raise ValueError("row mismatch in solve")
-    snf = smith_normal_form(m)
-    r = len(snf.diag)
-    c = snf.u @ b
-    if any(any(row) for row in c.entries[r:]):
-        return None
-    # u m v == diag(d), so y == (u b) / d on the first r rows, and 0 below;
-    # over F_p every d is 1, so the exact division holds there too
-    y = []
-    for d, row in zip(snf.diag, c.entries):
-        if any(x % d for x in row):
-            return None
-        y.append(tuple(x // d for x in row))
-    return snf.v.slice_cols(0, r) @ Matrix(m.ring, r, b.cols, tuple(y))
+    return smith_normal_form(m).solve(b)
 
 
 def solve_linear(m: Matrix, b: Matrix) -> tuple[Matrix, Matrix] | None:

@@ -19,13 +19,13 @@ from functools import cached_property, lru_cache
 from .linalg import (
     BaseRing,
     Matrix,
+    SnfResult,
     block_diag,
     express,
     hstack,
     kron,
     preimage_lattice,
     smith_normal_form,
-    solve_matrix,
     unvec,
     vstack,
 )
@@ -33,11 +33,16 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class FpModule:
-    """coker(rels : ring^m -> ring^gens), with its canonical form cached."""
+    """coker(rels : ring^m -> ring^gens), with its canonical form cached.
+
+    ``snf`` is the Smith form of ``rels``: the solver that decides
+    whether columns lie in the relation span.
+    """
 
     ring: BaseRing
     gens: int
     rels: Matrix
+    snf: SnfResult = field(init=False, compare=False, repr=False)
     rank: int = field(init=False, compare=False, repr=False)
     invariant_factors: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -48,12 +53,13 @@ class FpModule:
             raise ValueError(
                 f"relation matrix has {self.rels.rows} rows for {self.gens} generators"
             )
-        diag = smith_normal_form(self.rels).diag
-        object.__setattr__(self, "rank", self.gens - len(diag))
+        snf = smith_normal_form(self.rels)
+        object.__setattr__(self, "snf", snf)
+        object.__setattr__(self, "rank", self.gens - len(snf.diag))
         object.__setattr__(
             self,
             "invariant_factors",
-            tuple(d for d in diag if not self.ring.is_unit(d)),
+            tuple(d for d in snf.diag if not self.ring.is_unit(d)),
         )
 
     @staticmethod
@@ -128,7 +134,7 @@ class ModMorphism:
                 f"morphism matrix is {self.mat.rows}x{self.mat.cols}, expected "
                 f"{self.target.gens}x{self.source.gens}"
             )
-        if solve_matrix(self.target.rels, self.mat @ self.source.rels) is None:
+        if not self.target.snf.contains(self.mat @ self.source.rels):
             raise ValueError("ill-defined morphism: image of relations is not a relation")
 
     def __eq__(self, other: object) -> bool:
@@ -136,7 +142,7 @@ class ModMorphism:
             return NotImplemented
         if self.source != other.source or self.target != other.target:
             return False
-        return solve_matrix(self.target.rels, self.mat - other.mat) is not None
+        return self.target.snf.contains(self.mat - other.mat)
 
     __hash__ = None  # semantic equality is coarser than the raw data
 
@@ -157,7 +163,7 @@ class ModMorphism:
 
     @property
     def is_zero(self) -> bool:
-        return solve_matrix(self.target.rels, self.mat) is not None
+        return self.target.snf.contains(self.mat)
 
     def _same_endpoints(self, other: "ModMorphism") -> None:
         if self.source != other.source or self.target != other.target:
@@ -243,14 +249,14 @@ class HomGroup:
         return tuple(self.from_coords(ident.col(j)) for j in range(self.group.gens))
 
     @cached_property
-    def _system(self) -> Matrix:
-        """[gen_mat | target relations on vec'd matrices], built once."""
+    def _solver(self) -> SnfResult:
+        """The solver for [gen_mat | target relations on vec'd matrices], built once."""
         ident = Matrix.identity(self.source.ring, self.source.gens)
-        return hstack(self.gen_mat, kron(self.target.rels, ident))
+        return smith_normal_form(hstack(self.gen_mat, kron(self.target.rels, ident)))
 
     def _solve(self, vecs: Matrix) -> Matrix:
         """Coordinates of the vec'd morphism matrices in the columns of ``vecs``."""
-        z = solve_matrix(self._system, vecs)
+        z = self._solver.solve(vecs)
         if z is None:
             raise ValueError("morphism is not generated; Hom group is inconsistent")
         return z.slice_rows(0, self.gen_mat.cols)

@@ -32,7 +32,6 @@ from .linalg import (
     preimage_lattice,
     smith_normal_form,
     solve_linear,
-    solve_matrix,
     vstack,
 )
 from .modules import (
@@ -305,10 +304,10 @@ def _exact_at(
     mid: FpModule, incoming: Matrix, outgoing: Matrix, next_rels: Matrix
 ) -> bool:
     """image == kernel inside mid, by two-sided generator membership."""
-    if solve_matrix(next_rels, outgoing @ incoming) is None:
+    if not smith_normal_form(next_rels).contains(outgoing @ incoming):
         return False
     kernel = preimage_lattice(outgoing, next_rels)
-    return solve_matrix(hstack(incoming, mid.rels), kernel) is not None
+    return smith_normal_form(hstack(incoming, mid.rels)).contains(kernel)
 
 
 def check_exact(maps: list[NatMorphism], battery: ProbeBattery) -> CheckReport:

@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cohfun
 from cohfun import (
     BaseRing,
     CoherentFunctor,
@@ -13,7 +17,7 @@ from cohfun import (
     identity_nat,
     oracle,
 )
-from cohfun.cli import WorkspaceError, main, parse_workspace, render_workspace
+from cohfun.cli import WorkspaceError, build_parser, main, parse_workspace, render_workspace
 from cohfun.formats import Workspace, instance_payload
 
 DATA = Path(__file__).parent / "data"
@@ -117,6 +121,22 @@ class TestParsing:
     def test_functor_only_workspace_valid(self):
         ws = parse_workspace((DATA / "worked_quotient.json").read_text())
         assert set(ws.functors) == {"F"}
+
+    def test_render_keeps_the_names_of_equal_parts(self):
+        # A and B are both Z/2, and f and g have the same data
+        z2 = {"gens": 1, "rels": {"rows": 1, "cols": 1, "data": [2]}}
+        text = json.dumps({
+            "ring": "Z",
+            "modules": {"A": z2, "B": z2},
+            "morphisms": {
+                "f": {"source": "A", "target": "B", "mat": ONE},
+                "g": {"source": "A", "target": "B", "mat": ONE},
+            },
+            "functors": {"F": {"pres": "f"}, "G": {"pres": "g"}},
+        })
+        rendered = json.loads(render_workspace(parse_workspace(text)))
+        assert rendered == json.loads(text)
+        assert rendered["morphisms"]["f"]["source"] == "A"
 
     def test_roundtrip_is_identity_on_canonical_text(self):
         ws = parse_workspace((DATA / "worked_quotient.json").read_text())
@@ -262,8 +282,6 @@ class TestCommands:
 
     def test_every_operation_reachable(self):
         # each library operation has a subcommand
-        from cohfun.cli import build_parser
-
         parser = build_parser()
         sub = next(
             a for a in parser._actions if isinstance(a, __import__("argparse")._SubParsersAction)
@@ -272,6 +290,27 @@ class TestCommands:
             "eval", "nat", "w", "fourterm", "r0", "l0", "stab-inj", "stab-proj",
             "resolve", "is-rep", "is-inj", "check", "random",
         }
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_share_no_state(self):
+        assert run_cli(["--no-such-flag", "check"])[0] == 2
+        assert run_cli(["--help"])[0] == 0
+        code1, text1 = run_cli(["random", "--kind", "module", "--seed", "3"])
+        code2, text2 = run_cli(["--seed", "3", "random", "--kind", "module"])
+        assert code1 == code2 == 0 and text1 == text2
+        argv = ["--input", str(DATA / "worked_quotient.json"), "fourterm", "F"]
+        code, text = run_cli(argv)
+        src = str(Path(cohfun.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cohfun.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, text) == (fresh.returncode, fresh.stdout)
+        assert code == 0
 
 
 class TestPayloads:

@@ -584,3 +584,61 @@ class TestCoYonedaAndAdjunction:
             assert canonical_form(nat_group(f, g).group) == canonical_form(
                 nat_group(r0, g).group
             )
+
+
+def random_unimodular(rng, ring, n):
+    """A random invertible n x n matrix and its inverse, from elementary row
+    operations: each row operation E on the matrix is matched by the column
+    operation E^-1 on the inverse."""
+    units = [1, -1] if ring.p is None else list(range(1, ring.p))
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in a]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.randrange(-2, 3)
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+            for row in inv:
+                row[j] -= c * row[i]
+        else:
+            u = rng.choice(units)
+            a[i] = [u * x for x in a[i]]
+            for row in inv:
+                row[i] *= u if ring.p is None else pow(u, -1, ring.p)
+    return Matrix.from_rows(ring, a, cols=n), Matrix.from_rows(ring, inv, cols=n)
+
+
+def change_of_basis(rng, f):
+    """The functor f presents, presented again after unimodular changes of the
+    generators and relations of X and Y: X' has relations P rels_X R and f
+    becomes Q f P^-1.  Also returns the isomorphism P : X -> X'."""
+    ring, x, y = f.ring, f.source_module, f.target_module
+    p, p_inv = random_unimodular(rng, ring, x.gens)
+    q, _ = random_unimodular(rng, ring, y.gens)
+    x2 = FpModule(ring, x.gens, p @ x.rels @ random_unimodular(rng, ring, x.rels.cols)[0])
+    y2 = FpModule(ring, y.gens, q @ y.rels @ random_unimodular(rng, ring, y.rels.cols)[0])
+    assert p @ p_inv == Matrix.identity(ring, x.gens)
+    return CoherentFunctor(ModMorphism(x2, y2, q @ f.pres.mat @ p_inv)), ModMorphism(x, x2, p)
+
+
+class TestChangeOfBasis:
+    """Answers depend on the functor, not on the presentation chosen for it
+    (Auslander, "Coherent functors", 1966)."""
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_answers_are_invariant(self, ring):
+        rng = _stream(0, "change-of-basis", ring)
+        bounds = Bounds(gens=3, rels=3, entry=3)
+        probes = default_battery(ring).probes
+        for _ in range(25):
+            f = random_functor(rng, ring, bounds)
+            g = random_functor(rng, ring, bounds)
+            f2, iso = change_of_basis(rng, f)
+            assert is_iso(iso)
+            assert [evaluate(f2, a).describe() for a in probes] == [
+                evaluate(f, a).describe() for a in probes
+            ]
+            for (s, t), (s2, t2) in [((f, f), (f2, f2)), ((f, g), (f2, g)), ((g, f), (g, f2))]:
+                assert nat_group(s2, t2).group.describe() == nat_group(s, t).group.describe()
+            assert is_representable(f2) == is_representable(f)
+            assert is_injective_functor(f2) == is_injective_functor(f)

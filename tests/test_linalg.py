@@ -21,6 +21,7 @@ from cohfun.linalg import (
     vec,
     xgcd,
 )
+from cohfun.modules import FpModule
 
 Z = BaseRing.integers()
 F5 = BaseRing.prime_field(5)
@@ -235,6 +236,80 @@ class TestSolve:
                 assert got is not None and m @ got[0] == b
             else:
                 assert got is None
+
+
+def reference_solve(m, b):
+    """solve_matrix as it read before the Smith form carried the solver."""
+    if m.ring != b.ring:
+        raise ValueError("ring mismatch in solve")
+    if m.rows != b.rows:
+        raise ValueError("row mismatch in solve")
+    snf = smith_normal_form(m)
+    r = len(snf.diag)
+    c = snf.u @ b
+    if any(any(row) for row in c.entries[r:]):
+        return None
+    y = []
+    for d, row in zip(snf.diag, c.entries):
+        if any(x % d for x in row):
+            return None
+        y.append(tuple(x // d for x in row))
+    return snf.v.slice_cols(0, r) @ Matrix(m.ring, r, b.cols, tuple(y))
+
+
+SOLVER_RINGS = [Z] + [BaseRing.prime_field(p) for p in (2, 3, 5, 7)]
+
+
+class TestSolver:
+    def check(self, m, b):
+        snf = smith_normal_form(m)
+        want = reference_solve(m, b)
+        assert snf.solve(b) == want
+        assert solve_matrix(m, b) == want
+        assert snf.contains(b) == (want is not None)
+        if want is not None:
+            assert m @ want == b
+
+    @pytest.mark.parametrize("ring", SOLVER_RINGS, ids=str)
+    def test_random_systems_match_the_reference(self, ring):
+        rng = random.Random(f"solver:{ring}")
+        for _ in range(150):
+            m = rand_matrix(rng, ring, max_dim=5, lo=-6, hi=6)
+            k = rng.randrange(0, 4)
+            solvable = rng.random() < 0.5  # else a random right-hand side
+            rows = m.cols if solvable else m.rows
+            b = Matrix.from_rows(
+                ring, [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(rows)], cols=k
+            )
+            if solvable:
+                b = m @ b
+            self.check(m, b)
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_zero_sized_systems(self, ring):
+        for rows, cols, k in [(0, 3, 1), (0, 3, 0), (3, 0, 1), (3, 0, 0), (0, 0, 2), (2, 2, 0)]:
+            data = [[1 + i + j for j in range(cols)] for i in range(rows)]
+            m = Matrix.from_rows(ring, data, cols=cols)
+            self.check(m, Matrix.zeros(ring, rows, k))
+        # n x 0: only the zero column lies in the span
+        self.check(Matrix.zeros(ring, 2, 0), Matrix.column(ring, [0, 1]))
+        assert not smith_normal_form(Matrix.zeros(ring, 2, 0)).contains(Matrix.column(ring, [0, 1]))
+
+    def test_solve_errors_unchanged(self):
+        m = Matrix.from_rows(Z, [[2]])
+        for fn in (solve_matrix, reference_solve):
+            with pytest.raises(ValueError, match="ring mismatch in solve"):
+                fn(m, Matrix.column(F5, [1]))
+            with pytest.raises(ValueError, match="row mismatch in solve"):
+                fn(m, Matrix.column(Z, [1, 2]))
+
+    @pytest.mark.parametrize("ring", SOLVER_RINGS, ids=str)
+    def test_module_keeps_its_smith_form(self, ring):
+        rng = random.Random(f"module-snf:{ring}")
+        for _ in range(30):
+            rels = rand_matrix(rng, ring, max_dim=4)
+            module = FpModule(ring, rels.rows, rels)
+            assert module.snf == smith_normal_form(rels)
 
 
 class TestLattices:

@@ -259,7 +259,10 @@ BRUTE_FORCE = (
     "brute_hom", "brute_eval", "_enum_homs", "_moduli", "_combine",
     "_group_invariants", "_type_module", "_lattice_contains", "_field_solvable",
 )
-CHECKED = {"hom_group", "solve_matrix", "solve_linear", "express", "preimage_lattice"}
+CHECKED = {
+    "hom_group", "solve_matrix", "solve_linear", "express", "preimage_lattice",
+    "contains", "solve",  # the solver methods of SnfResult
+}
 
 
 def checked_names_read(source: str) -> dict[str, set[str]]:
