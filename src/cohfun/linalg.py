@@ -196,15 +196,15 @@ class Matrix:
             out.append(tuple(acc) if p is None else tuple(x % p for x in acc))
         return Matrix(self.ring, self.rows, other.cols, tuple(out))
 
+    # __add__ and __neg__ leave F_p entries unreduced: __post_init__ reduces them
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        norm = self.ring.normalize
         return Matrix(
             self.ring,
             self.rows,
             self.cols,
             tuple(
-                tuple(norm(a + b) for a, b in zip(r1, r2))
+                tuple(a + b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
             ),
         )
@@ -213,12 +213,11 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        norm = self.ring.normalize
         return Matrix(
             self.ring,
             self.rows,
             self.cols,
-            tuple(tuple(norm(-a) for a in row) for row in self.entries),
+            tuple(tuple(-a for a in row) for row in self.entries),
         )
 
     def transpose(self) -> "Matrix":
@@ -520,56 +519,52 @@ def hermite_basis(m: Matrix) -> Matrix:
 
     Lower-triangular column echelon with positive pivots and the other
     entries of each pivot row reduced into [0, pivot).  Canonical for
-    the lattice itself, so callers get basis-independent, small output.
+    the lattice itself (Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4), so callers get basis-independent, small output,
+    and a Hermite form taken on any earlier generators of the same
+    lattice would be wasted: take it once, on the generators returned.
+
+    The columns are eliminated as rows with the row helpers of
+    ``smith_normal_form``: at each row, the first column holding a
+    nonzero entry accumulates the gcd of the entries there.
     """
     ring = m.ring
     n = m.rows
-    cols = [
-        [m.entries[i][j] for i in range(n)]
-        for j in range(m.cols)
-        if any(m.entries[i][j] for i in range(n))
-    ]
-    result: list[tuple[int, list[int]]] = []  # (pivot row, column)
+    cols = [list(c) for c in zip(*m.entries) if any(c)]
+    result: list[list[int]] = []  # pivot columns, by increasing pivot row
     for i in range(n):
-        holders = [c for c in cols if c[i] != 0]
+        holders = [c for c in cols if c[i]]
         if not holders:
             continue
-        acc = holders[0]
-        cols.remove(acc)
-        for c in holders[1:]:
-            cols.remove(c)
+        cols = [c for c in cols if not c[i]]
+        for k in range(1, len(holders)):
+            a, b = holders[0][i], holders[k][i]
             if ring.is_field:
-                p = ring.p
-                f = c[i] * pow(acc[i], -1, p) % p
-                newc = [(cv - f * av) % p for av, cv in zip(acc, c)]
+                _row_addmul(ring, holders, k, 0, -ring.eucdiv(b, a)[0])
             else:
-                x, y, g = xgcd(acc[i], c[i])
-                newacc = [x * av + y * cv for av, cv in zip(acc, c)]
-                newc = [
-                    (acc[i] // g) * cv - (c[i] // g) * av for av, cv in zip(acc, c)
-                ]
-                acc = newacc
-            if any(newc):
-                cols.append(newc)
-        scale = ring.canonical_scale(acc[i])
+                x, y, g = xgcd(a, b)
+                _row_combine(holders, 0, k, x, y, -(b // g), a // g)
+            if any(holders[k]):
+                cols.append(holders[k])
+        scale = ring.canonical_scale(holders[0][i])
         if scale != 1:
-            acc = [ring.normalize(scale * x) for x in acc]
-        for _, prev in result:
-            q = prev[i] // acc[i]
+            _row_addmul(ring, holders, 0, 0, scale - 1)  # row 0 <- scale * row 0
+        result.append(holders[0])
+        for j in range(len(result) - 1):
+            q = result[j][i] // result[-1][i]
             if q:
-                for k in range(n):
-                    prev[k] = ring.normalize(prev[k] - q * acc[k])
-        result.append((i, acc))
-    return Matrix(
-        ring,
-        n,
-        len(result),
-        tuple(tuple(col[i] for _, col in result) for i in range(n)),
-    )
+                _row_addmul(ring, result, j, -1, -q)
+    return Matrix(ring, len(result), n, tuple(map(tuple, result))).transpose()
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Basis of {x : m @ x == 0}, one column per basis vector."""
+    """Basis of {x : m @ x == 0}, one column per basis vector, in Hermite form.
+
+    The Hermite pass runs on the last columns of the Smith witness v,
+    whose entries can reach hundreds of bits.  ``preimage_lattice``
+    needs only a projection of the kernel, so it takes those columns
+    itself and puts the projection in Hermite form instead.
+    """
     snf = smith_normal_form(m)
     r = len(snf.diag)
     basis = snf.v.slice_cols(r, m.cols)
@@ -603,13 +598,15 @@ def solve_linear(m: Matrix, b: Matrix) -> tuple[Matrix, Matrix] | None:
 def preimage_lattice(p: Matrix, q: Matrix) -> Matrix:
     """Generators of the lattice {x : p @ x lies in the column span of q}.
 
-    Computed by projecting the kernel of [p | -q] onto the x block.
-    The columns generate (they need not be independent).
+    The raw Smith kernel columns of [p | -q] are projected onto the x
+    block, and the projection is put in Hermite form once.  Hermite form
+    is canonical for the lattice, so taking it on the whole kernel first
+    (``kernel_basis``) could not change the answer.
     """
     if p.ring != q.ring or p.rows != q.rows:
         raise ValueError("incompatible matrices in preimage_lattice")
-    k = kernel_basis(hstack(p, -q))
-    return hermite_basis(k.slice_rows(0, p.cols))
+    snf = smith_normal_form(hstack(p, -q))
+    return hermite_basis(snf.v.slice_rows(0, p.cols).slice_cols(len(snf.diag), snf.v.cols))
 
 
 def express(gens: Matrix, rels: Matrix, target: Matrix) -> Matrix | None:

@@ -14,7 +14,9 @@ from cohfun import (
     FpModule,
     Matrix,
     ModMorphism,
+    four_term,
     identity_nat,
+    is_zero_functor,
     oracle,
 )
 from cohfun.cli import WorkspaceError, build_parser, main, parse_workspace, render_workspace
@@ -39,6 +41,16 @@ def run_cli(argv) -> tuple[int, str]:
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def run_fresh(argv, timeout=None) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter on the package these tests import."""
+    src = str(Path(cohfun.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cohfun.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
 
 
 def run_script(fixture: str, commands) -> str:
@@ -304,13 +316,30 @@ class TestParserReuse:
         assert code1 == code2 == 0 and text1 == text2
         argv = ["--input", str(DATA / "worked_quotient.json"), "fourterm", "F"]
         code, text = run_cli(argv)
-        src = str(Path(cohfun.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        fresh = subprocess.run(
-            [sys.executable, "-m", "cohfun.cli", *argv], capture_output=True, text=True, env=env
-        )
+        fresh = run_fresh(argv)
         assert (code, text) == (fresh.returncode, fresh.stdout)
         assert code == 0
+
+
+class TestFormerlyStalled:
+    # Each took over 12 s while preimage_lattice put the whole Smith kernel
+    # in Hermite form before projecting it.  Seed 112 (is-rep F0) still
+    # stalls, in the ker_nat/coker_nat pushouts; the strict xfail in
+    # perfbench/tests pins it, so it is left out here.
+    @pytest.mark.parametrize("seed, command", [
+        (155, "is-rep F0"), (257, "is-inj F0"), (364, "is-inj F0"), (309, "nat F0 F1"),
+    ])
+    def test_finishes_within_ten_seconds(self, tmp_path, seed, command):
+        code, text = run_cli(["random", "--kind", "nat", "--seed", str(seed)])
+        assert code == 0
+        path = tmp_path / "ws.json"
+        path.write_text(text)
+        proc = run_fresh(["--input", str(path), *command.split()], timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        if command == "is-rep F0":
+            ft = four_term(parse_workspace(text).functor("F0"))
+            representable = is_zero_functor(ft.f0) and is_zero_functor(ft.f1)
+            assert proc.stdout == ("true\n" if representable else "false\n")
 
 
 class TestPayloads:

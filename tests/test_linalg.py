@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohfun import linalg
 from cohfun.linalg import (
     BaseRing,
     Matrix,
@@ -356,6 +358,63 @@ class TestLattices:
                 assert solve_matrix(m, h.col(j)) is not None
 
 
+def draw_matrix(data, ring, rows, cols):
+    entries = st.integers(min_value=-9, max_value=9)
+    return Matrix.from_rows(
+        ring, [[data.draw(entries) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
+
+
+def draw_unimodular(data, ring, n):
+    """A product of elementary column operations on I_n: swaps, unit scalings, additions."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(data.draw(st.integers(min_value=0, max_value=8)) if n else 0):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(min_value=-3, max_value=3))
+        for row in u:
+            if i != j and k == 0:
+                row[i], row[j] = row[j], row[i]
+            elif i != j:
+                row[i] += k * row[j]
+            elif ring.is_unit(k):
+                row[i] *= k
+    return Matrix.from_rows(ring, u, cols=n)
+
+
+def two_pass_preimage(p, q):
+    """The reference definition: Hermite form of the whole kernel, then of its projection."""
+    k = kernel_basis(hstack(p, -q))
+    return hermite_basis(k.slice_rows(0, p.cols))
+
+
+class TestOneHermitePass:
+    @given(st.sampled_from(SOLVER_RINGS), st.integers(0, 5), st.integers(0, 6),
+           st.integers(0, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_preimage_lattice_equals_the_two_pass_definition(self, ring, rows, c1, c2, data):
+        p, q = draw_matrix(data, ring, rows, c1), draw_matrix(data, ring, rows, c2)
+        assert preimage_lattice(p, q) == two_pass_preimage(p, q)
+
+    @given(st.sampled_from(SOLVER_RINGS), st.integers(0, 5), st.integers(0, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hermite_form_ignores_column_operations(self, ring, rows, cols, data):
+        m = draw_matrix(data, ring, rows, cols)
+        assert hermite_basis(m @ draw_unimodular(data, ring, cols)) == hermite_basis(m)
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=["Z", "F5"])
+    def test_preimage_lattice_takes_one_hermite_form(self, ring, monkeypatch):
+        calls = collections.Counter()
+        for name in ("hermite_basis", "kernel_basis"):
+            def counted(m, real=getattr(linalg, name), name=name):
+                calls[name] += 1
+                return real(m)
+            monkeypatch.setattr(linalg, name, counted)
+        p = Matrix.from_rows(ring, [[4, 2, 1], [0, 6, 3]])
+        q = Matrix.from_rows(ring, [[6, 0], [3, 9]])
+        preimage_lattice(p, q)
+        assert calls == {"hermite_basis": 1}
+
+
 class TestKron:
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
            st.integers(min_value=1, max_value=3), st.data())
@@ -462,7 +521,7 @@ class TestStorage:
             b = Matrix.from_rows(
                 F5, [[rng.randrange(-20, 21) for _ in range(cols)] for _ in range(a.cols)], cols=cols
             )
-            for m in (a @ b, kron(a, b)):
+            for m in (a @ b, kron(a, b), a + a, -a, a - a):
                 assert all(0 <= x < 5 for row in m.entries for x in row)
             lifted = Matrix.from_rows(Z, a.entries, cols=a.cols) @ Matrix.from_rows(
                 Z, b.entries, cols=b.cols
