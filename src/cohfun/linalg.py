@@ -11,6 +11,9 @@ correctness bug, not a performance tweak.
 Conventions shared by the whole package:
 
 * matrices are immutable values that carry their ring;
+* matrices are checked where they enter, by the public constructors;
+  results built inside this module skip the check, because their shape
+  and entry range hold by construction;
 * entries over F_p are stored reduced to [0, p); entries over Z are
   stored as they are, never normalized;
 * zero-sized matrices (0 x n, n x 0, 0 x 0) are ordinary values;
@@ -100,13 +103,15 @@ class BaseRing:
         return "Z" if self.p is None else f"F{self.p}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """Immutable rectangular matrix with entries in a BaseRing.
 
     ``entries`` is a row-major tuple of row tuples; the row and column
     counts are explicit so that 0 x n and n x 0 matrices are honest
-    values (presentations of free modules need them).
+    values (presentations of free modules need them).  Constructing one
+    checks the shape and reduces F_p entries; the results of operations
+    in this module are built by ``_matrix`` instead, without the check.
     """
 
     ring: BaseRing
@@ -142,11 +147,15 @@ class Matrix:
 
     @staticmethod
     def zeros(ring: BaseRing, rows: int, cols: int) -> "Matrix":
-        return Matrix(ring, rows, cols, tuple((0,) * cols for _ in range(rows)))
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        return _matrix(ring, rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def identity(ring: BaseRing, n: int) -> "Matrix":
-        return Matrix(
+        if n < 0:
+            raise ValueError("negative matrix dimensions")
+        return _matrix(
             ring, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         )
 
@@ -194,59 +203,63 @@ class Matrix:
                     for j in ocols:
                         acc[j] += a * orow[j]
             out.append(tuple(acc) if p is None else tuple(x % p for x in acc))
-        return Matrix(self.ring, self.rows, other.cols, tuple(out))
+        return _matrix(self.ring, self.rows, other.cols, tuple(out))
 
-    # __add__ and __neg__ leave F_p entries unreduced: __post_init__ reduces them
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            self.ring,
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-        )
+        p = self.ring.p
+        rows = (tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries))
+        if p is not None:
+            rows = (tuple(x % p for x in row) for row in rows)
+        return _matrix(self.ring, self.rows, self.cols, tuple(rows))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(
-            self.ring,
-            self.rows,
-            self.cols,
-            tuple(tuple(-a for a in row) for row in self.entries),
-        )
+        p = self.ring.p
+        rows = (tuple(-a for a in row) for row in self.entries)
+        if p is not None:
+            rows = (tuple(x % p for x in row) for row in rows)
+        return _matrix(self.ring, self.rows, self.cols, tuple(rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ring,
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return _matrix(self.ring, self.cols, self.rows, entries)
 
     def col(self, j: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, 1, tuple((row[j],) for row in self.entries))
+        _check_range(j, j + 1, self.cols)
+        return _matrix(self.ring, self.rows, 1, tuple((row[j],) for row in self.entries))
 
     def slice_rows(self, start: int, stop: int) -> "Matrix":
-        return Matrix(self.ring, stop - start, self.cols, self.entries[start:stop])
+        _check_range(start, stop, self.rows)
+        return _matrix(self.ring, stop - start, self.cols, self.entries[start:stop])
 
     def slice_cols(self, start: int, stop: int) -> "Matrix":
-        return Matrix(
-            self.ring,
-            self.rows,
-            stop - start,
-            tuple(row[start:stop] for row in self.entries),
-        )
+        _check_range(start, stop, self.cols)
+        entries = tuple(row[start:stop] for row in self.entries)
+        return _matrix(self.ring, self.rows, stop - start, entries)
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.ring != other.ring:
             raise ValueError("ring mismatch")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+
+
+def _matrix(ring: BaseRing, rows: int, cols: int, entries: tuple) -> Matrix:
+    """A Matrix whose shape and F_p range hold by construction, built without checks."""
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "ring", ring)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "entries", entries)
+    return m
+
+
+def _check_range(start: int, stop: int, n: int) -> None:
+    if not 0 <= start <= stop <= n:
+        raise ValueError(f"index range {start}:{stop} outside 0:{n}")
 
 
 def hstack(*mats: Matrix) -> Matrix:
@@ -256,12 +269,8 @@ def hstack(*mats: Matrix) -> Matrix:
     for m in mats:
         if m.ring != ring or m.rows != rows:
             raise ValueError("hstack: incompatible matrices")
-    return Matrix(
-        ring,
-        rows,
-        sum(m.cols for m in mats),
-        tuple(sum((m.entries[i] for m in mats), ()) for i in range(rows)),
-    )
+    entries = tuple(sum((m.entries[i] for m in mats), ()) for i in range(rows))
+    return _matrix(ring, rows, sum(m.cols for m in mats), entries)
 
 
 def vstack(*mats: Matrix) -> Matrix:
@@ -271,7 +280,7 @@ def vstack(*mats: Matrix) -> Matrix:
     for m in mats:
         if m.ring != ring or m.cols != cols:
             raise ValueError("vstack: incompatible matrices")
-    return Matrix(ring, sum(m.rows for m in mats), cols, sum((m.entries for m in mats), ()))
+    return _matrix(ring, sum(m.rows for m in mats), cols, sum((m.entries for m in mats), ()))
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
@@ -292,23 +301,21 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                 rows.append(tuple(x * y for x in arow for y in brow))
             else:
                 rows.append(tuple(x * y % p for x in arow for y in brow))
-    return Matrix(a.ring, a.rows * b.rows, a.cols * b.cols, tuple(rows))
+    return _matrix(a.ring, a.rows * b.rows, a.cols * b.cols, tuple(rows))
 
 
 def vec(m: Matrix) -> Matrix:
     """Row-major flattening of a matrix into a single column."""
-    return Matrix(
-        m.ring, m.rows * m.cols, 1, tuple((x,) for row in m.entries for x in row)
-    )
+    return _matrix(m.ring, m.rows * m.cols, 1, tuple((x,) for row in m.entries for x in row))
 
 
-def unvec(ring: BaseRing, column: Matrix, rows: int, cols: int) -> Matrix:
-    if column.cols != 1 or column.rows != rows * cols:
+def unvec(column: Matrix, rows: int, cols: int) -> Matrix:
+    """Inverse of vec: the rows x cols matrix whose row-major flattening is column."""
+    if min(rows, cols) < 0 or column.cols != 1 or column.rows != rows * cols:
         raise ValueError("unvec: wrong column length")
-    flat = [row[0] for row in column.entries]
-    return Matrix(
-        ring, rows, cols, tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows))
-    )
+    flat = tuple(row[0] for row in column.entries)
+    entries = tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
+    return _matrix(column.ring, rows, cols, entries)
 
 
 @dataclass(frozen=True)
@@ -358,7 +365,7 @@ class SnfResult:
         if y is None:
             return None
         v = self._v_image
-        return v @ Matrix(v.ring, v.cols, b.cols, y)
+        return v @ _matrix(v.ring, v.cols, b.cols, y)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -508,8 +515,8 @@ def smith_normal_form(m: Matrix) -> SnfResult:
         if c != 1:
             a[i] = [ring.normalize(c * x) for x in a[i]]
     return SnfResult(
-        u=Matrix(ring, R, R, tuple(tuple(row[C:]) for row in a[:R])),
-        v=Matrix(ring, C, C, tuple(tuple(row[:C]) for row in a[R:])),
+        u=_matrix(ring, R, R, tuple(tuple(row[C:]) for row in a[:R])),
+        v=_matrix(ring, C, C, tuple(tuple(row[:C]) for row in a[R:])),
         diag=tuple(a[i][i] for i in range(rank)),
     )
 
@@ -554,7 +561,7 @@ def hermite_basis(m: Matrix) -> Matrix:
             q = result[j][i] // result[-1][i]
             if q:
                 _row_addmul(ring, result, j, -1, -q)
-    return Matrix(ring, len(result), n, tuple(map(tuple, result))).transpose()
+    return _matrix(ring, len(result), n, tuple(map(tuple, result))).transpose()
 
 
 def kernel_basis(m: Matrix) -> Matrix:

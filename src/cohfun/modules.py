@@ -303,7 +303,7 @@ class HomGroup:
         if coeffs.rows != self.group.gens or coeffs.cols != 1:
             raise ValueError("bad coordinate column")
         col = self.gen_mat @ coeffs
-        mat = unvec(self.source.ring, col, self.target.gens, self.source.gens)
+        mat = unvec(col, self.target.gens, self.source.gens)
         return ModMorphism(self.source, self.target, mat)
 
 

@@ -2,8 +2,9 @@
 
 Every module-level import is used by the module itself (``__init__.py``
 is skipped: its imports are the package's re-exports), every private
-function or method is read somewhere in the package, and private
-attributes are read only through ``self`` or ``cls``.
+function or method is read somewhere in the package, private
+attributes are read only through ``self`` or ``cls``, and no module
+imports a private name from another module of the package.
 """
 
 import ast
@@ -105,3 +106,30 @@ def test_checker_sees_a_foreign_private_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_private_attributes_read_only_through_self(path):
     assert foreign_private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names (``_x``, dunders excluded) imported from a cohfun module."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "cohfun")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_checker_sees_a_private_import():
+    source = (
+        "from .linalg import Matrix, _matrix\n"
+        "from cohfun.modules import _hidden\n"
+        "from os import _exit\n"
+        "from . import __version__\n"
+    )
+    assert private_imports(source) == ["_matrix", "_hidden"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_imported_across_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

@@ -21,6 +21,7 @@ from cohfun.linalg import (
     solve_matrix,
     unvec,
     vec,
+    vstack,
     xgcd,
 )
 from cohfun.modules import FpModule
@@ -415,6 +416,42 @@ class TestOneHermitePass:
         assert calls == {"hermite_basis": 1}
 
 
+def assert_well_formed(m):
+    """m holds what the checking constructor would make of its own fields."""
+    assert len(m.entries) == m.rows
+    assert all(len(row) == m.cols for row in m.entries)
+    if m.ring.p is not None:
+        assert all(0 <= x < m.ring.p for row in m.entries for x in row)
+    assert m == Matrix(m.ring, m.rows, m.cols, m.entries)
+
+
+class TestInternalResults:
+    """Results that linalg builds without the constructor's check are still valid matrices."""
+
+    @given(st.sampled_from(SOLVER_RINGS), st.integers(0, 5), st.integers(0, 6),
+           st.integers(0, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_operation_builds_a_well_formed_matrix(self, ring, rows, cols, k, data):
+        a, b = draw_matrix(data, ring, rows, cols), draw_matrix(data, ring, rows, cols)
+        c = draw_matrix(data, ring, cols, k)
+        r0 = data.draw(st.integers(0, rows))
+        c0 = data.draw(st.integers(0, cols))
+        snf = smith_normal_form(a)
+        results = [
+            a @ c, a + b, -a, a - b, a.transpose(),
+            a.slice_rows(r0, data.draw(st.integers(r0, rows))),
+            a.slice_cols(c0, data.draw(st.integers(c0, cols))),
+            hstack(a, b), vstack(a, b), kron(a, c), vec(a), unvec(vec(a), rows, cols),
+            snf.u, snf.v, hermite_basis(a), snf.solve(a @ c),
+            Matrix.zeros(ring, rows, cols), Matrix.identity(ring, cols),
+        ]
+        results += [a.col(j) for j in range(cols)]
+        for m in results:
+            assert_well_formed(m)
+        assert unvec(vec(a), rows, cols) == a
+        assert a - a == Matrix.zeros(ring, rows, cols)
+
+
 class TestKron:
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3),
            st.integers(min_value=1, max_value=3), st.data())
@@ -434,7 +471,7 @@ class TestKron:
 
     def test_unvec_roundtrip(self):
         m = Matrix.from_rows(Z, [[1, 2, 3], [4, 5, 6]])
-        assert unvec(Z, vec(m), 2, 3) == m
+        assert unvec(vec(m), 2, 3) == m
 
 
 class TestDet:
@@ -508,10 +545,29 @@ class TestStorage:
                 Matrix(ring, 0, -1, ())
             with pytest.raises(ValueError):
                 Matrix(ring, 2, 1, ((1,),))
+            for make in (lambda: Matrix.zeros(ring, -1, 2), lambda: Matrix.zeros(ring, 2, -1),
+                         lambda: Matrix.identity(ring, -1)):
+                with pytest.raises(ValueError):
+                    make()
 
     def test_empty_rows_allowed(self):
         for ring in (Z, F5):
             assert Matrix(ring, 3, 0, ((), (), ())).entries == ((), (), ())
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    @pytest.mark.parametrize(
+        "take",
+        [
+            lambda m: m.slice_rows(0, m.rows + 1),
+            lambda m: m.slice_rows(-1, 1),
+            lambda m: m.slice_cols(0, m.cols + 1),
+            lambda m: m.col(m.cols),
+        ],
+        ids=["rows-past-end", "rows-from-minus-one", "cols-past-end", "col-past-end"],
+    )
+    def test_out_of_range_bounds_raise(self, ring, take):
+        with pytest.raises(ValueError):
+            take(Matrix.from_rows(ring, [[1, 2, 3], [4, 5, 6]]))
 
     def test_field_products_stay_reduced(self):
         rng = random.Random(11)
