@@ -33,7 +33,6 @@ from .modules import (
     is_mono,
     isomorphic,
     kernel_mor,
-    lift_through_epi,
     render_group,
     tensor_module,
     zero_mor,

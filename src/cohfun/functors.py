@@ -34,7 +34,6 @@ from .modules import (
     hom_group,
     identity_mor,
     kernel_mor,
-    lift_through_epi,
     zero_mor,
 )
 
@@ -276,11 +275,8 @@ def nat_group(f: CoherentFunctor, g: CoherentFunctor) -> NatGroup:
     """Nat(F, G) as the kernel of G(f); no transformation is built until ``reps`` is read."""
     if f.ring != g.ring:
         raise ValueError("functors live over different rings")
-    ev_x = _evaluation(g, f.source_module)
-    ev_y = _evaluation(g, f.target_module)
-    gf = ModMorphism(ev_x.module, ev_y.module, ev_y.hom_x.induced(ev_x.hom_x, post=f.pres))
-    k, incl = kernel_mor(gf)
-    return NatGroup(source=f, target=g, group=k, ev_x=ev_x, incl=incl)
+    k, incl = kernel_mor(evaluate_mor(g, f.pres))
+    return NatGroup(source=f, target=g, group=k, ev_x=_evaluation(g, f.source_module), incl=incl)
 
 
 def nat_lift(
@@ -497,33 +493,23 @@ is_left_exact = is_representable
 def embed_injective(f: CoherentFunctor) -> tuple[CoherentFunctor, NatMorphism]:
     """A pointwise-injective embedding into a free-to-free presented functor.
 
-    Step one replaces X by a free cover P0, embedding F into the functor
-    presented by f∘p.  Step two lifts f∘p through a free cover of Y and
-    adjoins the syzygies, landing in H presented by P0 ⊕ Q1 -> Q0 with
-    both ends free.  Such functors are injective, so this is the first
-    half of a resolution.
+    With d = rels_Y : Q1 -> Q0 and pi_y : Q0 -> Y the stored free
+    presentation of Y, H is presented by [f | d] : ring^(X.gens) ⊕ Q1 ->
+    Q0, and the embedding is a = [I | 0] : ring^(X.gens) ⊕ Q1 -> X with
+    b = pi_y.  This is the proof's two steps in closed form: cover X by
+    the free module on its generators, then lift f through pi_y and
+    adjoin the syzygies Q1.  pi_y is the identity on generators, so the
+    lift is f's own matrix; a free Y has no syzygies.  Functors with
+    both ends free are injective, so this is the first half of a
+    resolution.
     """
     pres = f.pres
-    x, y = pres.source, pres.target
-    ring = f.ring
-
-    p0 = FpModule.free(ring, x.gens)
-    p = ModMorphism(p0, x, Matrix.identity(ring, x.gens))
-    g_pres = compose_mor(pres, p)
-    g = CoherentFunctor(g_pres)
-    step1 = NatMorphism(source=f, target=g, a=p, b=identity_mor(y))
-
-    if y.is_free and y.rels.cols == 0:
-        h = g
-        step2 = identity_nat(g)
-    else:
-        d, pi_y = free_presentation(y)
-        q0, q1 = pi_y.source, d.source
-        lam = lift_through_epi(g_pres, pi_y)
-        s, _, _, pr1, _ = direct_sum(p0, q1)
-        h = CoherentFunctor(ModMorphism(s, q0, hstack(lam.mat, d.mat)))
-        step2 = NatMorphism(source=g, target=h, a=pr1, b=pi_y)
-    return h, compose_nat(step2, step1)
+    x, ring = pres.source, f.ring
+    d, pi_y = free_presentation(pres.target)
+    s = FpModule.free(ring, x.gens + d.source.gens)
+    h = CoherentFunctor(ModMorphism(s, d.target, hstack(pres.mat, d.mat)))
+    a = hstack(Matrix.identity(ring, x.gens), Matrix.zeros(ring, x.gens, d.source.gens))
+    return h, NatMorphism(source=f, target=h, a=ModMorphism(s, x, a), b=pi_y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,7 +545,6 @@ def is_injective_functor(f: CoherentFunctor) -> bool:
     be in the image of composition with the embedding.
     """
     h, j = embed_injective(f)
-    ring = f.ring
-    if h == f and j.a.mat == Matrix.identity(ring, f.source_module.gens):
+    if h == f:  # X free and Y without relations: j is the identity
         return True
     return nat_lift(nat_group(h, f), nat_group(f, f), identity_nat(f), pre=j) is not None

@@ -21,7 +21,6 @@ from .linalg import (
     Matrix,
     SnfResult,
     block_diag,
-    express,
     hstack,
     kron,
     preimage_lattice,
@@ -369,21 +368,3 @@ def free_presentation(a: FpModule) -> tuple[ModMorphism, ModMorphism]:
     d = ModMorphism(syz, cover, a.rels)
     pi = ModMorphism(cover, a, Matrix.identity(ring, a.gens))
     return d, pi
-
-
-def lift_through_epi(phi: ModMorphism, e: ModMorphism) -> ModMorphism:
-    """A lift of phi through the epimorphism e, for free phi.source.
-
-    Solves e∘lam == phi column by column; existence is guaranteed by
-    projectivity of free modules.
-    """
-    if not phi.source.is_free:
-        raise ValueError("lift_through_epi requires a free source")
-    if phi.target != e.target:
-        raise ValueError("lift_through_epi: targets differ")
-    if not is_epi(e):
-        raise ValueError("lift_through_epi: e is not an epimorphism")
-    coeff = express(e.mat, e.target.rels, phi.mat)
-    if coeff is None:
-        raise ValueError("lift failed although e is epi; inconsistent presentations")
-    return ModMorphism(phi.source, e.source, coeff)

@@ -432,9 +432,7 @@ def random_instance(kind: str, seed: int, ring: BaseRing | None = None):
     if kind == "module":
         return random_module(rng, ring, bounds)
     if kind == "morphism":
-        a = random_module(rng, ring, bounds)
-        b = random_module(rng, ring, bounds)
-        return random_morphism(rng, a, b, bounds)
+        return random_functor(rng, ring, bounds).pres
     if kind == "functor":
         return random_functor(rng, ring, bounds)
     if kind == "nat":

@@ -10,11 +10,13 @@ from cohfun import (
     coker_nat,
     compose_mor,
     compose_nat,
+    direct_sum,
     embed_injective,
     evaluate,
     evaluate_mor,
     evaluate_nat,
     four_term,
+    free_presentation,
     hom_group,
     identity_mor,
     identity_nat,
@@ -42,7 +44,7 @@ from cohfun import (
     zero_nat,
 )
 from cohfun.functors import NatMorphism, nat_lift
-from cohfun.linalg import express
+from cohfun.linalg import express, hstack
 from cohfun.oracle import (
     Bounds,
     check_exact,
@@ -56,6 +58,8 @@ from cohfun.oracle import (
 )
 
 Z = BaseRing.integers()
+F2 = BaseRing.prime_field(2)
+F3 = BaseRing.prime_field(3)
 F5 = BaseRing.prime_field(5)
 BATTERY = default_battery(Z)
 
@@ -507,7 +511,56 @@ class TestRepresentability:
             assert is_representable(f)
 
 
+def two_step_embedding(f):
+    """The embedding built the long way, as the reference for the closed form.
+
+    Step one replaces X by its free cover P0 = ring^(X.gens); step two
+    lifts f∘p through the free cover pi_y of Y and adjoins the syzygies,
+    landing in H presented by P0 ⊕ Q1 -> Q0.  A free Y skips step two.
+    """
+    pres = f.pres
+    x, y, ring = pres.source, pres.target, f.ring
+    p0 = FpModule.free(ring, x.gens)
+    p = ModMorphism(p0, x, Matrix.identity(ring, x.gens))
+    g = CoherentFunctor(compose_mor(pres, p))
+    step1 = NatMorphism(source=f, target=g, a=p, b=identity_mor(y))
+    if y.is_free and y.rels.cols == 0:
+        return g, compose_nat(identity_nat(g), step1)
+    d, pi_y = free_presentation(y)
+    lam = express(pi_y.mat, y.rels, g.pres.mat)
+    assert lam is not None
+    s, _, _, pr1, _ = direct_sum(p0, d.source)
+    h = CoherentFunctor(ModMorphism(s, pi_y.source, hstack(lam, d.mat)))
+    step2 = NatMorphism(source=g, target=h, a=pr1, b=pi_y)
+    return h, compose_nat(step2, step1)
+
+
 class TestInjectives:
+    @pytest.mark.parametrize("ring", [Z, F2, F3, F5], ids=str)
+    def test_closed_form_matches_two_step_construction(self, ring):
+        rng = _stream(0, "embed", ring)
+        probes = default_battery(ring).probes
+        for _ in range(30):
+            f = random_functor(rng, ring, Bounds())
+            h, j = embed_injective(f)
+            h_ref, j_ref = two_step_embedding(f)
+            assert h.pres.key() == h_ref.pres.key()
+            assert j.a.key() == j_ref.a.key()
+            assert j.b.key() == j_ref.b.key()
+            assert all(is_mono(evaluate_nat(j, probe)) for probe in probes)
+            assert is_injective_functor(h)
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_free_to_free_shortcut_agrees_with_nat_lift(self, ring):
+        rng = _stream(1, "embed", ring)
+        for _ in range(20):
+            x, y = free(rng.randrange(4), ring), free(rng.randrange(4), ring)
+            f = CoherentFunctor(random_morphism(rng, x, y, Bounds()))
+            h, j = embed_injective(f)
+            assert h == f and j == identity_nat(f)
+            splitting = nat_lift(nat_group(h, f), nat_group(f, f), identity_nat(f), pre=j)
+            assert splitting is not None
+
     def test_embed_worked_instance(self):
         h, mono = embed_injective(yoneda_embed(cyc(2)))
         for probe in BATTERY.probes:

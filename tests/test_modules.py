@@ -19,7 +19,6 @@ from cohfun import (
     is_mono,
     isomorphic,
     kernel_mor,
-    lift_through_epi,
     render_group,
     tensor_module,
     zero_mor,
@@ -308,33 +307,6 @@ class TestTensorSum:
 
 
 class TestLiftAndPresentation:
-    def test_lift_through_epi(self):
-        phi = ModMorphism(free(1), cyc(2), Matrix.from_rows(Z, [[1]]))
-        e = ModMorphism(cyc(4), cyc(2), Matrix.from_rows(Z, [[1]]))
-        lam = lift_through_epi(phi, e)
-        assert compose_mor(e, lam) == phi
-
-    def test_lift_zero(self):
-        e = ModMorphism(cyc(4), cyc(2), Matrix.from_rows(Z, [[1]]))
-        lam = lift_through_epi(zero_mor(free(1), cyc(2)), e)
-        assert compose_mor(e, lam) == zero_mor(free(1), cyc(2))
-
-    def test_lift_identity(self):
-        e = identity_mor(free(1))
-        lam = lift_through_epi(identity_mor(free(1)), e)
-        assert lam == identity_mor(free(1))
-
-    def test_lift_requires_free_source(self):
-        e = ModMorphism(cyc(4), cyc(2), Matrix.from_rows(Z, [[1]]))
-        phi = identity_mor(cyc(2))
-        with pytest.raises(ValueError, match="free"):
-            lift_through_epi(phi, e)
-
-    def test_lift_requires_epi(self):
-        m = ModMorphism(free(1), free(1), Matrix.from_rows(Z, [[2]]))
-        with pytest.raises(ValueError, match="epi"):
-            lift_through_epi(identity_mor(free(1)), m)
-
     def test_free_presentation_reads_off_data(self):
         a = cyc(6)
         d, pi = free_presentation(a)
