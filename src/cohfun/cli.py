@@ -223,10 +223,11 @@ def _w(ws, args, out, battery) -> int:
 def _fourterm(ws, args, out, battery) -> int:
     f = ws.functor(args.functor)
     ft = four_term(f)
-    out.write(f"w({args.functor}) = {ft.wf.describe()}\n")
-    out.write(f"k = {render_matrix(ft.k.mat)}\n")
-    out.write(f"F0: presented by v = {render_matrix(ft.v.mat)} on {ft.coim.describe()}\n")
-    out.write(f"F1: presented by k on {ft.wf.describe()}\n")
+    wf, v = ft.r0.source_module.describe(), ft.f0.pres
+    out.write(f"w({args.functor}) = {wf}\n")
+    out.write(f"k = {render_matrix(ft.f1.pres.mat)}\n")
+    out.write(f"F0: presented by v = {render_matrix(v.mat)} on {v.source.describe()}\n")
+    out.write(f"F1: presented by k on {wf}\n")
     for probe in battery.probes:
         row = " -> ".join(evaluate(g, probe).describe() for g in (ft.f0, f, ft.r0, ft.f1))
         out.write(f"at {probe.describe()}: 0 -> {row} -> 0\n")

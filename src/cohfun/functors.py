@@ -22,14 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .linalg import Matrix, express, hstack, vstack
+from .linalg import Matrix, block_diag, express, hstack, vstack
 from .modules import (
     FpModule,
     HomGroup,
     ModMorphism,
     cokernel_mor,
     compose_mor,
-    direct_sum,
     free_presentation,
     hom_group,
     identity_mor,
@@ -74,11 +73,9 @@ def yoneda_embed(x: FpModule) -> CoherentFunctor:
 
 def yoneda_mor(m: ModMorphism) -> "NatMorphism":
     """Contravariant action on morphisms: m : A -> B gives (B,-) -> (A,-)."""
+    zero = FpModule.zero(m.source.ring)
     return NatMorphism(
-        source=yoneda_embed(m.target),
-        target=yoneda_embed(m.source),
-        a=m,
-        b=zero_mor(FpModule.zero(m.source.ring), FpModule.zero(m.source.ring)),
+        source=yoneda_embed(m.target), target=yoneda_embed(m.source), a=m, b=zero_mor(zero, zero)
     )
 
 
@@ -154,7 +151,7 @@ class NatMorphism:
             raise ValueError("a component has wrong endpoints")
         if self.b.source != g.target or self.b.target != f.target:
             raise ValueError("b component has wrong endpoints")
-        if compose_mor(f, self.a) != compose_mor(self.b, g):
+        if not f.target.snf.contains(f.mat @ self.a.mat - self.b.mat @ g.mat):
             raise ValueError("incompatible transformation: f∘a != b∘g")
 
     def __eq__(self, other: object) -> bool:
@@ -316,20 +313,31 @@ def w_mor(alpha: NatMorphism) -> ModMorphism:
     """Contravariant action: alpha : F -> G restricts a to w(G) -> w(F)."""
     wg, kg = w_of(alpha.target)
     wf, kf = w_of(alpha.source)
-    m = compose_mor(alpha.a, kg)
-    coeff = express(kf.mat, alpha.source.source_module.rels, m.mat)
+    coeff = express(kf.mat, alpha.source.source_module.rels, alpha.a.mat @ kg.mat)
     if coeff is None:
         raise ValueError("kernel restriction failed; incompatible transformation")
     return ModMorphism(wg, wf, coeff)
+
+
+def r0_functor(f: CoherentFunctor) -> tuple[CoherentFunctor, NatMorphism]:
+    """The representable reflection (w(F), -) and the unit F -> (w(F), -).
+
+    With k : w(F) -> X the kernel inclusion of f : X -> Y, the
+    reflection is presented by w(F) -> 0 and the unit is (k, 0 -> Y).
+    """
+    wf, k = w_of(f)
+    r0 = yoneda_embed(wf)
+    return r0, NatMorphism(f, r0, a=k, b=zero_mor(r0.target_module, f.target_module))
 
 
 @dataclass(frozen=True, eq=False)
 class FourTermData:
     """The exact sequence 0 -> F_0 -> F -> (w(F),-) -> F_1 -> 0.
 
-    f0 is presented by the image inclusion v : V -> Y, f1 by the kernel
-    inclusion k : w(F) -> X, and phi (the unit of the reflection) is the
-    pair (k, 0).
+    phi is the unit (k, 0) of ``r0_functor``, k : w(F) -> X.  f1 is
+    presented by k and f0 by f's matrix v on the coimage X / im(k), so
+    w(F), k, v and the coimage are ``r0.source_module``, ``f1.pres``,
+    ``f0.pres`` and ``f0.source_module``; iota is (X -> X / im(k), 1_Y).
     """
 
     f0: CoherentFunctor
@@ -338,38 +346,17 @@ class FourTermData:
     r0: CoherentFunctor
     f1: CoherentFunctor
     rho: NatMorphism
-    wf: FpModule
-    k: ModMorphism
-    v: ModMorphism
-    coim: FpModule
 
 
 def four_term(f: CoherentFunctor) -> FourTermData:
-    pres = f.pres
-    x, y = pres.source, pres.target
-    ring = f.ring
-    zero = FpModule.zero(ring)
-
-    wf, k = kernel_mor(pres)
-    coim, pi_v = cokernel_mor(k)
-    v = ModMorphism(coim, y, pres.mat)
-
-    f0 = CoherentFunctor(v)
-    r0 = yoneda_embed(wf)
-    f1 = CoherentFunctor(k)
-
+    x, y = f.source_module, f.target_module
+    r0, phi = r0_functor(f)
+    coim, pi_v = cokernel_mor(phi.a)
+    f0 = CoherentFunctor(ModMorphism(coim, y, f.pres.mat))
+    f1 = CoherentFunctor(phi.a)
     iota = NatMorphism(source=f0, target=f, a=pi_v, b=identity_mor(y))
-    phi = NatMorphism(source=f, target=r0, a=k, b=zero_mor(zero, y))
-    rho = NatMorphism(source=r0, target=f1, a=identity_mor(wf), b=zero_mor(x, zero))
-    return FourTermData(
-        f0=f0, iota=iota, phi=phi, r0=r0, f1=f1, rho=rho, wf=wf, k=k, v=v, coim=coim
-    )
-
-
-def r0_functor(f: CoherentFunctor) -> tuple[CoherentFunctor, NatMorphism]:
-    """The representable reflection (w(F), -) and the unit F -> (w(F), -)."""
-    ft = four_term(f)
-    return ft.r0, ft.phi
+    rho = NatMorphism(r0, f1, a=identity_mor(r0.source_module), b=zero_mor(x, r0.target_module))
+    return FourTermData(f0=f0, iota=iota, phi=phi, r0=r0, f1=f1, rho=rho)
 
 
 def inj_stabilize(f: CoherentFunctor) -> CoherentFunctor:
@@ -428,42 +415,46 @@ def is_proj_stable(f: CoherentFunctor) -> bool:
 
 
 def coker_nat(alpha: NatMorphism) -> tuple[CoherentFunctor, NatMorphism]:
-    """Cokernel, presented by pairing alpha's a component with g.
+    """Cokernel, presented by [a; g] : X_G -> X_F ⊕ Y_G.
 
-    The projection acts pointwise as the quotient by the image of
-    alpha, which is exactly the cokernel in the functor category.
+    X_F ⊕ Y_G has the relations block_diag(rels_X_F, rels_Y_G), and the
+    projection is (1, [0 | I]).  It acts pointwise as the quotient by
+    the image of alpha, which is the cokernel in the functor category.
     """
     f, g = alpha.source, alpha.target
-    s, _, _, _, p2 = direct_sum(f.source_module, g.target_module)
-    pres = ModMorphism(g.source_module, s, vstack(alpha.a.mat, g.pres.mat))
-    c = CoherentFunctor(pres)
-    proj = NatMorphism(source=g, target=c, a=identity_mor(g.source_module), b=p2)
-    return c, proj
+    xf, yg, ring = f.source_module, g.target_module, alpha.ring
+    s = FpModule(ring, xf.gens + yg.gens, block_diag(xf.rels, yg.rels))
+    c = CoherentFunctor(ModMorphism(g.source_module, s, vstack(alpha.a.mat, g.pres.mat)))
+    b = hstack(Matrix.zeros(ring, yg.gens, xf.gens), Matrix.identity(ring, yg.gens))
+    return c, NatMorphism(g, c, a=identity_mor(g.source_module), b=ModMorphism(s, yg, b))
+
+
+def _pushout(p: ModMorphism, q: ModMorphism) -> tuple[ModMorphism, ModMorphism]:
+    """The pushout of p : A -> B and q : A -> C, as its maps [I; 0] and [0; I].
+
+    The pushout D has the generators of B ⊕ C and the relations
+    hstack(block_diag(rels_B, rels_C), vstack(p, -q)): the biproduct
+    with the image of (p, -q) divided out.
+    """
+    b, c, ring = p.target, q.target, p.ring
+    d = FpModule(ring, b.gens + c.gens, hstack(block_diag(b.rels, c.rels), vstack(p.mat, -q.mat)))
+    into_b = vstack(Matrix.identity(ring, b.gens), Matrix.zeros(ring, c.gens, b.gens))
+    into_c = vstack(Matrix.zeros(ring, b.gens, c.gens), Matrix.identity(ring, c.gens))
+    return ModMorphism(b, d, into_b), ModMorphism(c, d, into_c)
 
 
 def ker_nat(alpha: NatMorphism) -> tuple[CoherentFunctor, NatMorphism]:
-    """Kernel via two pushouts.
+    """Kernel via two pushouts, in closed form.
 
-    D is the pushout of a : X_G -> X_F against g : X_G -> Y_G, and E
-    the pushout of the induced j : X_F -> D against f : X_F -> Y_F; the
-    kernel is presented by D -> E, included into F by (j, Y_F -> E).
+    D is the pushout of a : X_G -> X_F against g : X_G -> Y_G, with
+    j = [I; 0] : X_F -> D, and E the pushout of j against f : X_F -> Y_F.
+    The kernel is presented by [I; 0] : D -> E and included into F by
+    (j, [0; I] : Y_F -> E).
     """
-    f, g = alpha.source, alpha.target
-
-    s1, i1, i2, _, _ = direct_sum(f.source_module, g.target_module)
-    d, pi_d = cokernel_mor(
-        ModMorphism(g.source_module, s1, vstack(alpha.a.mat, (-g.pres).mat))
-    )
-    j = compose_mor(pi_d, i1)
-
-    s2, k1, k2, _, _ = direct_sum(d, f.target_module)
-    e, pi_e = cokernel_mor(ModMorphism(f.source_module, s2, vstack(j.mat, (-f.pres).mat)))
-    k_d = compose_mor(pi_e, k1)
-    into_y = compose_mor(pi_e, k2)
-
+    j = _pushout(alpha.a, alpha.target.pres)[0]
+    k_d, into_y = _pushout(j, alpha.source.pres)
     ker = CoherentFunctor(k_d)
-    incl = NatMorphism(source=ker, target=f, a=j, b=into_y)
-    return ker, incl
+    return ker, NatMorphism(source=ker, target=alpha.source, a=j, b=into_y)
 
 
 def is_zero_functor(f: CoherentFunctor) -> bool:

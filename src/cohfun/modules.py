@@ -315,7 +315,7 @@ def hom_group(a: FpModule, b: FpModule) -> HomGroup:
     nb, mb = b.gens, b.rels.cols
     n = nb * na
     ident_na = Matrix.identity(ring, na)
-    if a.is_free and ma == 0:
+    if ma == 0:
         # Hom(ring^na, B) is B^na on the nose; skip the kernel computation.
         gen_mat = Matrix.identity(ring, n)
         rels = kron(b.rels, ident_na)

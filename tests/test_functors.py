@@ -8,6 +8,7 @@ from cohfun import (
     ModMorphism,
     canonical_form,
     coker_nat,
+    cokernel_mor,
     compose_mor,
     compose_nat,
     direct_sum,
@@ -41,10 +42,11 @@ from cohfun import (
     w_of,
     yoneda_embed,
     yoneda_mor,
+    zero_mor,
     zero_nat,
 )
 from cohfun.functors import NatMorphism, nat_lift
-from cohfun.linalg import express, hstack
+from cohfun.linalg import express, hstack, vstack
 from cohfun.oracle import (
     Bounds,
     check_exact,
@@ -226,17 +228,32 @@ class TestNatLift:
 
 
 class TestNatMorphism:
-    def test_compatibility_enforced(self):
-        # no nonzero transformation from the tensor functor to Hom(Z, -)
-        f = F_TENSOR2
-        g = yoneda_embed(free(1))
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_compatibility_enforced(self, ring):
+        # f∘a - b∘g = [[2]] is not a relation of the free Y; over Z this says
+        # there is no nonzero transformation from Z/2 ⊗ - to Hom(Z, -)
+        one = free(1, ring)
+        f = CoherentFunctor(ModMorphism(one, one, Matrix.from_rows(ring, [[2]])))
+        g = yoneda_embed(one)
         with pytest.raises(ValueError, match="incompatible"):
             NatMorphism(
                 source=f,
                 target=g,
-                a=identity_mor(free(1)),
-                b=ModMorphism(free(0), free(1), Matrix.zeros(Z, 1, 0)),
+                a=identity_mor(one),
+                b=ModMorphism(free(0, ring), one, Matrix.zeros(ring, 1, 0)),
             )
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_defect_in_the_relation_span_is_accepted(self, ring):
+        # f∘a - b∘g = [[2]] is a nonzero matrix, but a relation of Y = ring/2
+        one, y = free(1, ring), FpModule.cyclic(ring, 2)
+        f = CoherentFunctor(ModMorphism(one, y, Matrix.identity(ring, 1)))
+        g = yoneda_embed(one)
+        a = ModMorphism(one, one, Matrix.from_rows(ring, [[2]]))
+        b = ModMorphism(g.target_module, y, Matrix.zeros(ring, 1, 0))
+        defect = f.pres.mat @ a.mat - b.mat @ g.pres.mat
+        assert not defect.is_zero and y.snf.contains(defect)
+        assert NatMorphism(source=f, target=g, a=a, b=b).a is a
 
     def test_equality_is_homotopy_aware(self):
         # two a-components differing by s∘g induce the same transformation
@@ -297,7 +314,7 @@ class TestW:
 class TestFourTerm:
     def test_worked_instance(self):
         ft = four_term(F_MOD_TORSION)
-        assert canonical_form(ft.wf) == (1, ())
+        assert canonical_form(ft.r0.source_module) == (1, ())
         assert is_zero_functor(ft.f0)
         assert w_of(ft.f0)[0].is_zero and w_of(ft.f1)[0].is_zero
         for probe in BATTERY.probes:
@@ -315,7 +332,7 @@ class TestFourTerm:
 
     def test_stable_case(self):
         ft = four_term(F_TENSOR2)
-        assert ft.wf.is_zero
+        assert ft.r0.source_module.is_zero
         assert is_zero_functor(ft.r0)
         assert is_zero_functor(ft.f1)
         for probe in BATTERY.probes[:4]:
@@ -491,6 +508,66 @@ class TestKerCokerNat:
                 assert canonical_form(evaluate(cf, probe)) == canonical_form(
                     coker_m(comp)[0]
                 )
+
+
+def reference_ker_nat(alpha):
+    """The kernel built from biproducts and cokernels, the reference for the closed form."""
+    f, g = alpha.source, alpha.target
+    s1, i1, _, _, _ = direct_sum(f.source_module, g.target_module)
+    d, pi_d = cokernel_mor(ModMorphism(g.source_module, s1, vstack(alpha.a.mat, (-g.pres).mat)))
+    j = compose_mor(pi_d, i1)
+    s2, k1, k2, _, _ = direct_sum(d, f.target_module)
+    _, pi_e = cokernel_mor(ModMorphism(f.source_module, s2, vstack(j.mat, (-f.pres).mat)))
+    ker = CoherentFunctor(compose_mor(pi_e, k1))
+    return ker, NatMorphism(source=ker, target=f, a=j, b=compose_mor(pi_e, k2))
+
+
+def reference_coker_nat(alpha):
+    """The cokernel whose projection is the biproduct's second projection."""
+    f, g = alpha.source, alpha.target
+    s, _, _, _, p2 = direct_sum(f.source_module, g.target_module)
+    c = CoherentFunctor(ModMorphism(g.source_module, s, vstack(alpha.a.mat, g.pres.mat)))
+    return c, NatMorphism(source=g, target=c, a=identity_mor(g.source_module), b=p2)
+
+
+def reference_four_term(f):
+    """The four-term sequence built in one pass from the kernel of f, unit included."""
+    x, y = f.source_module, f.target_module
+    zero = FpModule.zero(f.ring)
+    wf, k = kernel_mor(f.pres)
+    coim, pi_v = cokernel_mor(k)
+    f0 = CoherentFunctor(ModMorphism(coim, y, f.pres.mat))
+    r0, f1 = yoneda_embed(wf), CoherentFunctor(k)
+    iota = NatMorphism(source=f0, target=f, a=pi_v, b=identity_mor(y))
+    phi = NatMorphism(source=f, target=r0, a=k, b=zero_mor(zero, y))
+    rho = NatMorphism(source=r0, target=f1, a=identity_mor(wf), b=zero_mor(x, zero))
+    return (f0, r0, f1), (iota, phi, rho)
+
+
+def nat_keys(alpha):
+    return alpha.source.pres.key(), alpha.target.pres.key(), alpha.a.key(), alpha.b.key()
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("ring", [Z, F2, F3, F5], ids=str)
+    def test_match_the_biproduct_constructions(self, ring):
+        rng = _stream(0, "closed", ring)
+        bounds = Bounds(gens=3, rels=3, entry=3)
+        for _ in range(25):
+            f = random_functor(rng, ring, bounds)
+            g = random_functor(rng, ring, bounds)
+            ft = four_term(f)
+            functors, maps = reference_four_term(f)
+            assert [h.pres.key() for h in (ft.f0, ft.r0, ft.f1)] == [h.pres.key() for h in functors]
+            assert [nat_keys(m) for m in (ft.iota, ft.phi, ft.rho)] == [nat_keys(m) for m in maps]
+            r0, unit = r0_functor(f)
+            assert (r0.pres.key(), nat_keys(unit)) == (ft.r0.pres.key(), nat_keys(ft.phi))
+            pairs = ((ker_nat, reference_ker_nat), (coker_nat, reference_coker_nat))
+            for alpha in (random_nat(rng, f, g, bounds), unit):
+                for build, reference in pairs:
+                    (h, m), (h_ref, m_ref) = build(alpha), reference(alpha)
+                    assert h.pres.key() == h_ref.pres.key()
+                    assert nat_keys(m) == nat_keys(m_ref)
 
 
 class TestRepresentability:
