@@ -11,10 +11,7 @@ from .linalg import (
     BaseRing,
     Matrix,
     SnfResult,
-    det,
-    kernel_basis,
     smith_normal_form,
-    solve_linear,
     solve_matrix,
 )
 from .modules import (
@@ -31,7 +28,6 @@ from .modules import (
     is_epi,
     is_iso,
     is_mono,
-    isomorphic,
     kernel_mor,
     render_group,
     tensor_module,

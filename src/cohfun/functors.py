@@ -360,8 +360,13 @@ def four_term(f: CoherentFunctor) -> FourTermData:
 
 
 def inj_stabilize(f: CoherentFunctor) -> CoherentFunctor:
-    """The kernel F_0 of the unit; F is injectively stable iff F_0 is all of F."""
-    return four_term(f).f0
+    """The kernel F_0 of the unit; F is injectively stable iff F_0 is all of F.
+
+    F_0 is f's matrix on the coimage X / im(k), with k : w(F) -> X the
+    kernel inclusion: ``four_term(f).f0`` without the rest of the sequence.
+    """
+    coim, _ = cokernel_mor(w_of(f)[1])
+    return CoherentFunctor(ModMorphism(coim, f.target_module, f.pres.mat))
 
 
 def is_inj_stable(f: CoherentFunctor) -> bool:

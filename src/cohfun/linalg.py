@@ -3,7 +3,7 @@
 Everything in the higher layers (module presentations, Hom groups, the
 functor calculus) reduces to a handful of primitives implemented here:
 Smith normal form with invertible transformation witnesses, exact
-solving of linear systems, kernel bases, and preimage lattices.  All
+solving of linear systems, Hermite bases, and preimage lattices.  All
 arithmetic is arbitrary precision; Smith reduction is prone to
 intermediate coefficient growth, so fixed-width integers would be a
 correctness bug, not a performance tweak.
@@ -564,20 +564,6 @@ def hermite_basis(m: Matrix) -> Matrix:
     return _matrix(ring, len(result), n, tuple(map(tuple, result))).transpose()
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Basis of {x : m @ x == 0}, one column per basis vector, in Hermite form.
-
-    The Hermite pass runs on the last columns of the Smith witness v,
-    whose entries can reach hundreds of bits.  ``preimage_lattice``
-    needs only a projection of the kernel, so it takes those columns
-    itself and puts the projection in Hermite form instead.
-    """
-    snf = smith_normal_form(m)
-    r = len(snf.diag)
-    basis = snf.v.slice_cols(r, m.cols)
-    return hermite_basis(basis)
-
-
 def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     """Particular solution X of m @ X == b, or None if none exists."""
     if m.ring != b.ring:
@@ -587,28 +573,14 @@ def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     return smith_normal_form(m).solve(b)
 
 
-def solve_linear(m: Matrix, b: Matrix) -> tuple[Matrix, Matrix] | None:
-    """Solve m @ x == b for a single column b.
-
-    Returns (particular solution, homogeneous basis) where the basis
-    columns generate the full solution lattice of m @ x == 0, or None
-    when b is not in the column span over the ring.
-    """
-    if b.cols != 1:
-        raise ValueError("solve_linear expects a single column")
-    x = solve_matrix(m, b)
-    if x is None:
-        return None
-    return x, kernel_basis(m)
-
-
 def preimage_lattice(p: Matrix, q: Matrix) -> Matrix:
     """Generators of the lattice {x : p @ x lies in the column span of q}.
 
     The raw Smith kernel columns of [p | -q] are projected onto the x
     block, and the projection is put in Hermite form once.  Hermite form
     is canonical for the lattice, so taking it on the whole kernel first
-    (``kernel_basis``) could not change the answer.
+    could not change the answer.  With q of no columns it is the kernel
+    of p.
     """
     if p.ring != q.ring or p.rows != q.rows:
         raise ValueError("incompatible matrices in preimage_lattice")
@@ -628,32 +600,3 @@ def express(gens: Matrix, rels: Matrix, target: Matrix) -> Matrix | None:
     if z is None:
         return None
     return z.slice_rows(0, gens.cols)
-
-
-def det(m: Matrix) -> int:
-    """Exact determinant: Bareiss on the stored integers, reduced into the ring.
-
-    Over F_p the stored entries are representatives, and the integer
-    determinant reduced mod p is the field's determinant.
-    """
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return m.ring.normalize(1)
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return m.ring.normalize(sign * a[n - 1][n - 1])

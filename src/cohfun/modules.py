@@ -7,8 +7,8 @@ equality are decided exactly by linear solving.  Kernels, cokernels, Hom
 groups, tensor products and direct sums are all computed from Smith
 normal form via the lattice primitives in ``linalg``.
 
-Object equality is identity of presentation.  Isomorphism is a separate,
-coarser test through canonical forms (free rank plus invariant factors).
+Object equality is identity of presentation.  Isomorphism is decided
+by comparing canonical forms (free rank plus invariant factors).
 """
 
 from __future__ import annotations
@@ -77,10 +77,6 @@ class FpModule:
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.invariant_factors
 
-    @property
-    def is_free(self) -> bool:
-        return self.rels.is_zero
-
     def describe(self) -> str:
         return render_group(self.ring, self.rank, self.invariant_factors)
 
@@ -105,10 +101,6 @@ def render_group(ring: BaseRing, rank: int, factors: tuple[int, ...]) -> str:
 def canonical_form(a: FpModule) -> tuple[int, tuple[int, ...]]:
     """Free rank and invariant factors d_1 | d_2 | ... (no unit factors)."""
     return a.rank, a.invariant_factors
-
-
-def isomorphic(a: FpModule, b: FpModule) -> bool:
-    return a.ring == b.ring and canonical_form(a) == canonical_form(b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,13 +197,6 @@ def cokernel_mor(phi: ModMorphism) -> tuple[FpModule, ModMorphism]:
     """Cokernel: adjoin the image columns to the target's relations."""
     c = FpModule(phi.target.ring, phi.target.gens, hstack(phi.target.rels, phi.mat))
     return c, ModMorphism(phi.target, c, Matrix.identity(phi.target.ring, phi.target.gens))
-
-
-def image_mor(phi: ModMorphism) -> tuple[FpModule, ModMorphism]:
-    """Image as a submodule of the target, with its inclusion."""
-    rels = preimage_lattice(phi.mat, phi.target.rels)
-    im = FpModule(phi.source.ring, phi.source.gens, rels)
-    return im, ModMorphism(im, phi.target, phi.mat)
 
 
 def is_mono(phi: ModMorphism) -> bool:

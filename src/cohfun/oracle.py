@@ -26,12 +26,11 @@ from .linalg import (
     BaseRing,
     Matrix,
     block_diag,
-    det,
     express,
     hstack,
     preimage_lattice,
     smith_normal_form,
-    solve_linear,
+    solve_matrix,
     vstack,
 )
 from .modules import (
@@ -43,9 +42,9 @@ from .modules import (
     direct_sum,
     hom_group,
     identity_mor,
-    image_mor,
     is_iso,
     is_mono,
+    kernel_mor,
     zero_mor,
 )
 from .functors import (
@@ -268,8 +267,8 @@ def brute_eval(f: CoherentFunctor, a: FpModule, cap: int = DEFAULT_ENUM_CAP) -> 
 
     Enumerates Hom(X, a) and Hom(Y, a), forms the precomposition image,
     and reads the quotient's type off how many elements each p^j sends
-    into the image; the result is isomorphic to evaluate(f, a) but
-    shares none of its machinery.
+    into the image; the result agrees with evaluate(f, a) up to
+    isomorphism but shares none of its machinery.
     """
     moduli = _moduli(a, cap)
     x, y = f.pres.source, f.pres.target
@@ -510,6 +509,63 @@ def _run(name: str, cases: int, body) -> CheckReport:
     )
 
 
+def det(m: Matrix) -> int:
+    """Exact determinant: Bareiss on the stored integers, reduced into the ring.
+
+    Over F_p the stored entries are representatives, and the integer
+    determinant reduced mod p is the field's determinant.
+    """
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return m.ring.normalize(1)
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return m.ring.normalize(sign * a[n - 1][n - 1])
+
+
+def _minors(m: Matrix, k: int) -> list[int]:
+    """Every k x k minor of m; the one 0 x 0 minor is 1."""
+    return [
+        det(Matrix.from_rows(m.ring, [[m.entries[i][j] for j in cols] for i in rows], cols=k))
+        for rows in itertools.combinations(range(m.rows), k)
+        for cols in itertools.combinations(range(m.cols), k)
+    ]
+
+
+def _rank(m: Matrix) -> int:
+    """The largest k for which m has a nonzero k x k minor."""
+    return next(k for k in range(min(m.rows, m.cols), -1, -1) if any(_minors(m, k)))
+
+
+def _generates_kernel(m: Matrix, k: Matrix) -> bool:
+    """True when the columns of k generate {x : m @ x == 0}, read from minors.
+
+    k must lie in the kernel, have as many columns as the kernel's rank,
+    and have maximal minors whose gcd is a unit.  The last condition
+    makes the columns independent and their span saturated, and a
+    saturated sublattice of full rank is the whole kernel (Smith's
+    determinantal divisors).
+    """
+    if not (m @ k).is_zero or k.cols != m.cols - _rank(m):
+        return False
+    return m.ring.is_unit(math.gcd(*_minors(k, k.cols)))
+
+
 def case_snf_contract(rng: random.Random, ring: BaseRing, battery: ProbeBattery):
     r, c = rng.randrange(0, 7), rng.randrange(0, 7)
     m = Matrix.from_rows(
@@ -591,6 +647,11 @@ def _field_solvable(m: Matrix, b: Matrix) -> bool:
 
 
 def case_solve_oracle(rng: random.Random, ring: BaseRing, battery: ProbeBattery):
+    """solve_matrix against brute-force solvability, and the kernel by minors.
+
+    The kernel is ``preimage_lattice(m, 0)``, the path every kernel in
+    the package takes.
+    """
     r, c = rng.randrange(0, 4), rng.randrange(0, 4)
     m = Matrix.from_rows(
         ring,
@@ -598,20 +659,19 @@ def case_solve_oracle(rng: random.Random, ring: BaseRing, battery: ProbeBattery)
         cols=c,
     )
     b = Matrix.column(ring, [rng.randrange(-3, 4) for _ in range(r)])
-    got = solve_linear(m, b)
+    x = solve_matrix(m, b)
     if ring.is_field:
         expected = _field_solvable(m, b)
     else:
         cols = [[m.entries[i][j] for i in range(r)] for j in range(c)]
         expected = _lattice_contains(cols, [b.entries[i][0] for i in range(r)])
-    if (got is not None) != expected:
+    if (x is not None) != expected:
         return {"matrix": m.to_lists(), "b": b.to_lists()}
-    if got is not None:
-        x, basis = got
-        if (m @ x) != b:
-            return {"matrix": m.to_lists(), "b": b.to_lists(), "x": x.to_lists()}
-        if basis.cols and not (m @ basis).is_zero:
-            return {"matrix": m.to_lists(), "basis": basis.to_lists()}
+    if x is not None and m @ x != b:
+        return {"matrix": m.to_lists(), "b": b.to_lists(), "x": x.to_lists()}
+    basis = preimage_lattice(m, Matrix.zeros(ring, r, 0))
+    if not _generates_kernel(m, basis):
+        return {"matrix": m.to_lists(), "basis": basis.to_lists()}
     return None
 
 
@@ -751,7 +811,7 @@ def case_w_exactness(rng: random.Random, ring: BaseRing, battery: ProbeBattery):
 def case_w_presentation_independence(
     rng: random.Random, ring: BaseRing, battery: ProbeBattery
 ):
-    """Presentations of the same functor give isomorphic kernels.
+    """Presentations of the same functor give kernels equal up to isomorphism.
 
     Two moves produce honestly equal functors: block sum with an
     identity (padding both X and Y), and stacking redundant target
@@ -842,8 +902,8 @@ def _random_module_ses(rng, ring: BaseRing, bounds: Bounds):
     a = random_module(rng, ring, bounds)
     b = random_module(rng, ring, bounds)
     phi = random_morphism(rng, a, b, bounds)
-    im, incl = image_mor(phi)
-    quot, proj = cokernel_mor(incl)
+    _, proj = cokernel_mor(phi)
+    _, incl = kernel_mor(proj)
     return incl, proj
 
 

@@ -19,7 +19,6 @@ from cohfun import (
     Matrix,
     ModMorphism,
     canonical_form,
-    det,
     evaluate,
     evaluate_nat,
     four_term,
@@ -45,6 +44,7 @@ from cohfun.oracle import (
     Bounds,
     brute_hom,
     check_exact,
+    det,
     default_battery,
     padded_complex,
     random_finite_module,

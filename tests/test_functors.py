@@ -361,7 +361,7 @@ class TestReflection:
             assert canonical_form(evaluate(r0, probe)) == canonical_form(probe)
         comp = evaluate_nat(unit, cyc(4))
         # [a] -> 2a lands in the index-two subgroup
-        img, _ = __import__("cohfun.modules", fromlist=["image_mor"]).image_mor(comp)
+        img, _ = kernel_mor(cokernel_mor(comp)[1])
         assert canonical_form(img) == (0, (2,))
 
     def test_unit_iso_for_representables(self):
@@ -391,6 +391,13 @@ class TestStabilization:
         z = yoneda_embed(free(0))
         assert is_inj_stable(z)
         assert is_zero_functor(inj_stabilize(z))
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_f0_alone_is_the_four_term_f0(self, ring):
+        rng = _stream(0, "inj-stabilize", ring)
+        for _ in range(200):
+            f = random_functor(rng, ring, Bounds())
+            assert inj_stabilize(f) == four_term(f).f0
 
 
 class TestTensorFunctor:
@@ -601,7 +608,7 @@ def two_step_embedding(f):
     p = ModMorphism(p0, x, Matrix.identity(ring, x.gens))
     g = CoherentFunctor(compose_mor(pres, p))
     step1 = NatMorphism(source=f, target=g, a=p, b=identity_mor(y))
-    if y.is_free and y.rels.cols == 0:
+    if y.rels.cols == 0:
         return g, compose_nat(identity_nat(g), step1)
     d, pi_y = free_presentation(y)
     lam = express(pi_y.mat, y.rels, g.pres.mat)

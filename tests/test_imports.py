@@ -2,9 +2,10 @@
 
 Every module-level import is used by the module itself (``__init__.py``
 is skipped: its imports are the package's re-exports), every private
-function or method is read somewhere in the package, private
-attributes are read only through ``self`` or ``cls``, and no module
-imports a private name from another module of the package.
+function or method is read somewhere in the package, so is every
+public name of the library layers, private attributes are read only
+through ``self`` or ``cls``, and no module imports a private name from
+another module of the package.
 """
 
 import ast
@@ -79,6 +80,59 @@ def test_checker_sees_an_unused_private_helper():
 def test_no_unused_private_helpers():
     sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
     assert unused_private_helpers(sources) == []
+
+
+def unread_public_names(sources: dict[str, str], checked: set[str]) -> list[str]:
+    """Public top-level functions, classes and aliases of ``checked`` that nothing reads.
+
+    ``sources`` maps file names to source text; a read is a loaded
+    ``Name`` or an ``Attribute`` in any of them, outside the name's own
+    definition.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads: dict[str, set[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, set()).add(id(node))
+    unread = []
+    for name in checked:
+        for node in trees[name].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            unread += [n for n in names if not n.startswith("_") and not reads.get(n, set()) - own]
+    return sorted(unread)
+
+
+def test_checker_sees_an_unread_public_name():
+    sources = {
+        "a.py": "def used(): pass\ndef dead(): return dead\nclass K: pass\nalias = used\n",
+        "b.py": "from a import K\nimport a\nK()\na.used()\n",
+    }
+    assert unread_public_names(sources, {"a.py"}) == ["alias", "dead"]
+
+
+# Public names the package itself never reads, each kept for a stated reader.
+UNREAD_PUBLIC = {
+    # the L0 acceptance criterion and tests/test_functors.py compare
+    # tensor_functor and l0_functor against the tensor product of modules
+    "tensor_module",
+    # perfbench/tests pins this alias as a binding the tracer must reach
+    "is_left_exact",
+}
+
+
+def test_public_library_names_are_read_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    checked = {"linalg.py", "modules.py", "functors.py"}
+    assert unread_public_names(sources, checked) == sorted(UNREAD_PUBLIC)
 
 
 def foreign_private_reads(source: str) -> list[str]:

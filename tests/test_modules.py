@@ -17,14 +17,13 @@ from cohfun import (
     is_epi,
     is_iso,
     is_mono,
-    isomorphic,
     kernel_mor,
     render_group,
     tensor_module,
     zero_mor,
 )
 from cohfun.linalg import express, hstack
-from cohfun.modules import HomGroup, image_mor
+from cohfun.modules import HomGroup
 from cohfun.oracle import Bounds, brute_hom, random_module, random_morphism, _stream
 
 Z = BaseRing.integers()
@@ -261,7 +260,7 @@ class TestKernelCokernel:
             a = random_module(rng, Z, Bounds())
             b = random_module(rng, Z, Bounds())
             phi = random_morphism(rng, a, b, Bounds())
-            im, _ = image_mor(phi)
+            im, _ = kernel_mor(cokernel_mor(phi)[1])
             coim, _ = cokernel_mor(kernel_mor(phi)[1])
             assert canonical_form(im) == canonical_form(coim)
 
@@ -293,7 +292,7 @@ class TestTensorSum:
         assert canonical_form(s2) == (0, (6,))
         a = cyc(12)
         s3, *_ = direct_sum(a, free(0))
-        assert isomorphic(s3, a)
+        assert canonical_form(s3) == canonical_form(a)
 
     def test_biproduct_identities(self):
         a, b = cyc(4), free(2)
@@ -323,7 +322,7 @@ class TestLiftAndPresentation:
         a = FpModule(Z, 2, Matrix.from_rows(Z, [[2, 0], [0, 3]]))
         d, pi = free_presentation(a)
         k, _ = kernel_mor(pi)
-        im, _ = image_mor(d)
+        im, _ = kernel_mor(cokernel_mor(d)[1])
         assert canonical_form(k) == canonical_form(im)
 
 

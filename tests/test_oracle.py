@@ -258,9 +258,10 @@ def test_group_invariants_of_known_groups(moduli, invariants):
 BRUTE_FORCE = (
     "brute_hom", "brute_eval", "_enum_homs", "_moduli", "_combine",
     "_group_invariants", "_type_module", "_lattice_contains", "_field_solvable",
+    "det", "_minors", "_rank", "_generates_kernel",
 )
 CHECKED = {
-    "hom_group", "solve_matrix", "solve_linear", "express", "preimage_lattice",
+    "hom_group", "solve_matrix", "express", "preimage_lattice", "hermite_basis",
     "contains", "solve",  # the solver methods of SnfResult
 }
 
@@ -438,6 +439,52 @@ class TestChainTable:
         m = random_finite_module(random.Random(seed), Z, max_order=max_order)
         assert m.gens == gens
         assert m.rels.to_lists() == rels
+
+
+def solve_oracle(ring):
+    """The solve-oracle report at seed 0 and 100 cases, as ``check`` runs it."""
+    battery = default_battery(ring)
+    case = oracle.case_solve_oracle
+    return _run("solve-oracle", 200, lambda idx: case(_stream(0, "solve", idx), ring, battery))
+
+
+class TestSolveOracle:
+    @pytest.mark.parametrize("ring", [Z, F5], ids=["Z", "Fp5"])
+    def test_production_paths_pass(self, ring):
+        assert solve_oracle(ring).passed
+
+    def test_fails_on_a_scaled_kernel_basis(self, monkeypatch):
+        # 2K lies in the kernel and has the right rank, but does not generate it
+        real = oracle.preimage_lattice
+        monkeypatch.setattr(oracle, "preimage_lattice", lambda p, q: real(p, q) + real(p, q))
+        report = solve_oracle(Z)
+        assert not report.passed
+        assert all("basis" in failure for failure in report.failures)
+
+    def test_fails_on_a_dropped_kernel_column(self, monkeypatch):
+        real = oracle.preimage_lattice
+
+        def dropped(p, q):
+            k = real(p, q)
+            return k.slice_cols(0, max(k.cols - 1, 0))
+
+        monkeypatch.setattr(oracle, "preimage_lattice", dropped)
+        report = solve_oracle(F5)
+        assert not report.passed
+        assert all("basis" in failure for failure in report.failures)
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=["Z", "Fp5"])
+    def test_fails_on_a_wrong_particular_solution(self, ring, monkeypatch):
+        real = oracle.solve_matrix
+
+        def shifted(m, b):
+            x = real(m, b)
+            return None if x is None else x + Matrix.from_rows(ring, [[1]] * x.rows, cols=1)
+
+        monkeypatch.setattr(oracle, "solve_matrix", shifted)
+        report = solve_oracle(ring)
+        assert not report.passed
+        assert any("x" in failure for failure in report.failures)
 
 
 class TestReports:
