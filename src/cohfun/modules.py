@@ -3,9 +3,10 @@
 A module is stored as a cokernel presentation: ``gens`` generators and a
 relation matrix whose *columns* are relations.  A morphism is a matrix on
 generators, taken modulo the target's relations; well-definedness and
-equality are decided exactly by linear solving.  Kernels, cokernels, Hom
-groups, tensor products and direct sums are all computed from Smith
-normal form via the lattice primitives in ``linalg``.
+equality are decided exactly by linear solving.  Kernels, cokernels,
+tensor products and direct sums are computed from Smith normal form via
+the lattice primitives in ``linalg``, and so are Hom groups over Z; over
+a field, Hom groups are read off pruned presentations, which are free.
 
 Object equality is identity of presentation.  Isomorphism is decided
 by comparing canonical forms (free rank plus invariant factors).
@@ -291,11 +292,55 @@ class HomGroup:
         return ModMorphism(self.source, self.target, mat)
 
 
+def prune(a: FpModule) -> tuple[int, Matrix, Matrix, Matrix]:
+    """A smaller presentation of ``a``: ``(gens, rels, s, t)``.
+
+    Each unit entry of a relation removes its generator and that
+    relation (the ``prune`` of Macaulay2); zero relations are dropped.
+    ``s : a -> a'`` and ``t : a' -> a`` are mutually inverse, and ``t``
+    keeps the surviving generators.  Over a field ``a'`` is free.
+    """
+    ring, n, r = a.ring, a.gens, a.rels.cols
+    # one row per current generator: its relation entries, then its row of s
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rels.entries)]
+    kept, live = list(range(n)), list(range(r))
+    while pivot := next(
+        ((i, j) for j in live for i, row in enumerate(rows) if ring.is_unit(row[j])), None
+    ):
+        i, j = pivot
+        inv = ring.eucdiv(1, rows[i][j])[0]
+        prow = rows.pop(i)
+        del kept[i]
+        live.remove(j)
+        # generator i is -inv * (the rest of relation j); substitute it everywhere
+        for row in rows:
+            if c := row[j] * inv:
+                row[:] = [ring.normalize(x - c * y) for x, y in zip(row, prow)]
+    live = [j for j in live if any(row[j] for row in rows)]
+    m = len(rows)
+    rels = Matrix(ring, m, len(live), tuple(tuple(row[j] for j in live) for row in rows))
+    s = Matrix(ring, m, n, tuple(tuple(row[r:]) for row in rows))
+    t = Matrix(ring, n, m, tuple(tuple(int(k == i) for k in kept) for i in range(n)))
+    return m, rels, s, t
+
+
 @lru_cache(maxsize=None)
 def hom_group(a: FpModule, b: FpModule) -> HomGroup:
+    """Hom(a, b), computed in one of three ways.
+
+    - Over a field, both modules prune to free ones, so Hom(a, b) is free
+      on the nb' x na' matrices M, realized as t_b @ M @ s_a.
+    - Over Z from a free ``a``, Hom(Z^na, b) is b^na on the nose.
+    - Otherwise Hom(a, b) is the lattice of T with T @ rels_a in the span
+      of rels_b, modulo the T with columns in that span.
+    """
     if a.ring != b.ring:
         raise ValueError("Hom between modules over different rings")
     ring = a.ring
+    if ring.is_field:
+        na, _, s_a, _ = prune(a)
+        nb, _, _, t_b = prune(b)
+        return HomGroup(a, b, FpModule.free(ring, nb * na), kron(t_b, s_a.transpose()))
     na, ma = a.gens, a.rels.cols
     nb, mb = b.gens, b.rels.cols
     n = nb * na

@@ -23,7 +23,7 @@ from cohfun import (
     zero_mor,
 )
 from cohfun.linalg import express, hstack
-from cohfun.modules import HomGroup
+from cohfun.modules import HomGroup, prune
 from cohfun.oracle import Bounds, brute_hom, random_module, random_morphism, _stream
 
 Z = BaseRing.integers()
@@ -206,6 +206,43 @@ class TestHom:
             assert canonical_form(hom_group(a, b).group) == canonical_form(
                 brute_hom(a, b)
             )
+
+
+RINGS = [Z] + [BaseRing.prime_field(p) for p in (2, 5, 7)]
+
+
+class TestPrune:
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_contract(self, ring):
+        rng = _stream(0, "prune", ring)
+        for _ in range(150):
+            a = random_module(rng, ring, Bounds())
+            gens, rels, s, t = prune(a)
+            pruned = FpModule(ring, gens, rels)
+            s_mor, t_mor = ModMorphism(a, pruned, s), ModMorphism(pruned, a, t)
+            assert compose_mor(s_mor, t_mor) == identity_mor(pruned)
+            assert compose_mor(t_mor, s_mor) == identity_mor(a)
+            assert canonical_form(pruned) == canonical_form(a)
+            if ring.is_field:
+                assert rels.cols == 0
+            else:
+                assert all(x not in (1, -1) for row in rels.entries for x in row)
+
+    def test_keeps_surviving_generators(self):
+        # g1 = -2 g0 - g2 by the second relation, so g1 goes
+        a = FpModule(Z, 3, Matrix.from_rows(Z, [[4, 2], [0, 1], [6, 1]]))
+        gens, rels, s, t = prune(a)
+        assert gens == 2
+        assert t == Matrix.from_rows(Z, [[1, 0], [0, 0], [0, 1]])
+        assert rels == Matrix.from_rows(Z, [[4], [6]])
+        assert s == Matrix.from_rows(Z, [[1, -2, 0], [0, -1, 1]])
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_empty_presentations(self, ring):
+        for a in (FpModule.zero(ring), free(2, ring)):
+            gens, rels, s, t = prune(a)
+            assert (gens, rels.cols) == (a.gens, 0)
+            assert s == t == Matrix.identity(ring, a.gens)
 
 
 class TestKernelCokernel:

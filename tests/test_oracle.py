@@ -15,6 +15,7 @@ from cohfun import (
     canonical_form,
     evaluate,
     four_term,
+    identity_mor,
     yoneda_embed,
 )
 from cohfun import oracle
@@ -142,6 +143,24 @@ class TestBruteOverFields:
             checked += 1
             assert canonical_form(want) == canonical_form(hom_group(a, b).group)
         assert checked >= 30
+
+    @pytest.mark.parametrize("ring", FIELDS + [BaseRing.prime_field(7)], ids=str)
+    def test_hom_group_from_pruned_presentations(self, ring):
+        # hom_group reads Hom over a field off pruned presentations
+        rng = _stream(0, "field-hom-pruned", ring)
+        checked = 0
+        for _ in range(150):
+            a, b = random_module(rng, ring, Bounds()), random_module(rng, ring, Bounds())
+            try:
+                want = brute_hom(a, b, cap=50000)
+            except ValueError:
+                continue  # oversized draw
+            checked += 1
+            h = hom_group(a, b)
+            assert canonical_form(h.group) == canonical_form(want)
+            coords = ModMorphism(h.group, h.group, h.coords_all(list(h.reps)))
+            assert coords == identity_mor(h.group)
+        assert checked >= 120
 
     @pytest.mark.parametrize("ring", FIELDS, ids=str)
     def test_eval_matches_evaluate(self, ring):
