@@ -158,11 +158,6 @@ def parse_workspace(text: str) -> Workspace:
     return ws
 
 
-def render_workspace(ws: Workspace) -> str:
-    """Canonical text; parse(render(ws)) reproduces ws exactly."""
-    return json.dumps(ws.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
 def _battery_from_spec(ring: BaseRing, spec: str | None) -> oracle.ProbeBattery:
     if not spec:
         return oracle.default_battery(ring)
@@ -313,8 +308,6 @@ def _check(ws, args, out, battery) -> int:
 
 def _random(ws, args, out, battery) -> int:
     inst = oracle.random_instance(args.kind, args.seed, ring=ws.ring)
-    if isinstance(inst, oracle.ShortExactSequence):
-        inst = [inst.incl, inst.proj]
     out.write(json.dumps(instance_payload(inst), indent=2, sort_keys=True) + "\n")
     return 0
 

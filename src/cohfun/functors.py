@@ -164,25 +164,9 @@ class NatMorphism:
 
     __hash__ = None
 
-    def __add__(self, other: "NatMorphism") -> "NatMorphism":
-        if self.source != other.source or self.target != other.target:
-            raise ValueError("transformation endpoints differ")
-        return NatMorphism(self.source, self.target, self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> "NatMorphism":
-        return NatMorphism(self.source, self.target, -self.a, -self.b)
-
-    def __sub__(self, other: "NatMorphism") -> "NatMorphism":
-        return self + (-other)
-
     @property
     def ring(self):
         return self.source.ring
-
-    @property
-    def is_zero(self) -> bool:
-        ev = _evaluation(self.target, self.source.source_module)
-        return ev.is_zero_class(self.a)
 
 
 def identity_nat(f: CoherentFunctor) -> NatMorphism:
@@ -512,7 +496,6 @@ def embed_injective(f: CoherentFunctor) -> tuple[CoherentFunctor, NatMorphism]:
 class InjectiveResolution:
     """0 -> F -> I0 -> I1 -> I2 -> 0 with injective terms (some may vanish)."""
 
-    functor: CoherentFunctor
     terms: tuple[CoherentFunctor, CoherentFunctor, CoherentFunctor]
     maps: tuple[NatMorphism, NatMorphism, NatMorphism]
 
@@ -531,7 +514,7 @@ def injective_resolution(f: CoherentFunctor) -> InjectiveResolution:
     i2, d1 = coker_nat(j1)
     if not is_injective_functor(i2):
         raise RuntimeError("resolution closed on a non-injective cokernel")
-    return InjectiveResolution(functor=f, terms=(i0, i1, i2), maps=(j0, d0, d1))
+    return InjectiveResolution(terms=(i0, i1, i2), maps=(j0, d0, d1))
 
 
 def is_injective_functor(f: CoherentFunctor) -> bool:

@@ -3,10 +3,11 @@
 A module is stored as a cokernel presentation: ``gens`` generators and a
 relation matrix whose *columns* are relations.  A morphism is a matrix on
 generators, taken modulo the target's relations; well-definedness and
-equality are decided exactly by linear solving.  Kernels, cokernels,
-tensor products and direct sums are computed from Smith normal form via
-the lattice primitives in ``linalg``, and so are Hom groups over Z; over
-a field, Hom groups are read off pruned presentations, which are free.
+equality are decided exactly by linear solving.  Cokernels, tensor
+products and direct sums are written down directly from presentations.
+Kernels, and Hom groups over Z, are preimage lattices computed by the
+Smith normal form primitives in ``linalg``; over a field, Hom groups
+are read off pruned presentations, which are free.
 
 Object equality is identity of presentation.  Isomorphism is decided
 by comparing canonical forms (free rank plus invariant factors).
@@ -27,6 +28,7 @@ from .linalg import (
     preimage_lattice,
     smith_normal_form,
     unvec,
+    vec,
     vstack,
 )
 
@@ -254,18 +256,9 @@ class HomGroup:
         for phi in phis:
             if phi.source != self.source or phi.target != self.target:
                 raise ValueError("morphism does not belong to this Hom group")
-        # column k is vec(phis[k].mat); solving is column by column
-        rhs = Matrix(
-            self.source.ring,
-            self.gen_mat.rows,
-            len(phis),
-            tuple(
-                tuple(phi.mat.entries[i][j] for phi in phis)
-                for i in range(self.target.gens)
-                for j in range(self.source.gens)
-            ),
-        )
-        return self._solve(rhs)
+        # column k is vec(phis[k].mat); the zero-width block lets phis be empty
+        empty = Matrix.zeros(self.source.ring, self.gen_mat.rows, 0)
+        return self._solve(hstack(empty, *(vec(phi.mat) for phi in phis)))
 
     def induced(
         self, dom: "HomGroup", pre: ModMorphism | None = None, post: ModMorphism | None = None

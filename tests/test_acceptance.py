@@ -226,9 +226,9 @@ def test_criterion_10_w_exactness():
     with criterion("criterion 10: kernel functor exact on 100 short exact sequences"):
         rng = _stream(SEED, "acc-wex")
         for case in range(100):
-            ses = random_ses(rng, Z, Bounds(gens=3, rels=3, entry=3))
-            wq = w_mor(ses.proj)
-            wi = w_mor(ses.incl)
+            incl, proj = random_ses(rng, Z, Bounds(gens=3, rels=3, entry=3))
+            wq = w_mor(proj)
+            wi = w_mor(incl)
             assert module_sequence_exact([wq, wi]), case
 
 

@@ -2,10 +2,17 @@
 
 Every module-level import is used by the module itself (``__init__.py``
 is skipped: its imports are the package's re-exports), every private
-function or method is read somewhere in the package, so is every
-public name of the library layers, private attributes are read only
-through ``self`` or ``cls``, and no module imports a private name from
-another module of the package.
+function or method is read somewhere in the package, private
+attributes are read only through ``self`` or ``cls``, and no module
+imports a private name from another module of the package.
+
+Every public top-level name of every module, and every member of a
+top-level class but its dunders (methods, properties, dataclass
+fields), is read somewhere in the package, apart from the exemptions
+in ``UNREAD_PUBLIC``.  An attribute ``x.name`` reads ``name`` wherever
+it appears; a bare ``name`` reads it only in a module that defines or
+imports ``name``, so a local variable that happens to share the name
+is not a reader.
 """
 
 import ast
@@ -82,32 +89,68 @@ def test_no_unused_private_helpers():
     assert unused_private_helpers(sources) == []
 
 
-def unread_public_names(sources: dict[str, str], checked: set[str]) -> list[str]:
-    """Public top-level functions, classes and aliases of ``checked`` that nothing reads.
+def top_level_names(tree: ast.Module) -> dict[ast.AST, list[str]]:
+    """Each top-level function, class or alias definition, with the names it binds."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node] = [node.name]
+        elif isinstance(node, ast.Assign):
+            defs[node] = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return defs
 
-    ``sources`` maps file names to source text; a read is a loaded
-    ``Name`` or an ``Attribute`` in any of them, outside the name's own
-    definition.
+
+def class_members(cls: ast.ClassDef) -> dict[ast.AST, list[str]]:
+    """Each method, property, field or class attribute of ``cls``, dunders excluded."""
+    members = {}
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        members[node] = [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return members
+
+
+def unread_public_names(sources: dict[str, str], checked: set[str]) -> list[str]:
+    """Names defined in ``checked`` that nothing reads.
+
+    Checked are the public top-level functions, classes and aliases,
+    and every member of a top-level class but its dunders: methods,
+    properties, dataclass fields.  ``sources`` maps file names to
+    source text.  An attribute ``x.name`` loaded in any of them reads
+    ``name``.  A bare ``name`` reads it only in a module that defines
+    ``name`` at top level or imports it, so a local variable that
+    shares a name defined elsewhere reads nothing.  No definition
+    reads itself.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
     reads: dict[str, set[int]] = {}
     for tree in trees.values():
+        bound = {n: n for names in top_level_names(tree).values() for n in names}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.setdefault(node.id, set()).add(id(node))
+            if isinstance(node, ast.ImportFrom):
+                bound |= {a.asname or a.name: a.name for a in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(getattr(node, "ctx", None), ast.Load):
+                continue
+            if isinstance(node, ast.Name) and node.id in bound:
+                reads.setdefault(bound[node.id], set()).add(id(node))
             elif isinstance(node, ast.Attribute):
                 reads.setdefault(node.attr, set()).add(id(node))
     unread = []
     for name in checked:
-        for node in trees[name].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            own = {id(n) for n in ast.walk(node)}
-            unread += [n for n in names if not n.startswith("_") and not reads.get(n, set()) - own]
+        for node, names in top_level_names(trees[name]).items():
+            defs = {node: [n for n in names if not n.startswith("_")]}
+            if isinstance(node, ast.ClassDef):
+                defs |= class_members(node)
+            for definition, bound_names in defs.items():
+                own = {id(n) for n in ast.walk(definition)}
+                unread += [n for n in bound_names if not reads.get(n, set()) - own]
     return sorted(unread)
 
 
@@ -117,6 +160,31 @@ def test_checker_sees_an_unread_public_name():
         "b.py": "from a import K\nimport a\nK()\na.used()\n",
     }
     assert unread_public_names(sources, {"a.py"}) == ["alias", "dead"]
+
+
+def test_checker_ignores_a_local_that_shares_a_public_name():
+    sources = {
+        "a.py": "def vec(m): return m\n",
+        "b.py": "def f(cols):\n    for vec in cols:\n        print(vec)\n",
+    }
+    assert unread_public_names(sources, {"a.py"}) == ["vec"]
+    sources["c.py"] = "from a import vec as flatten\nflatten(1)\n"
+    assert unread_public_names(sources, {"a.py"}) == []
+
+
+def test_checker_sees_an_unread_field_and_method():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class K:\n"
+        "    read: int\n"
+        "    dead: int\n"
+        "    def __len__(self): return self.read\n"
+        "    def used(self): return self.read\n"
+        "    def unused(self): return self.unused()\n"
+        "K(1, 2).used()\n"
+    )
+    assert unread_public_names({"a.py": source}, {"a.py"}) == ["dead", "unused"]
 
 
 # Public names the package itself never reads, each kept for a stated reader.
@@ -131,8 +199,7 @@ UNREAD_PUBLIC = {
 
 def test_public_library_names_are_read_in_the_package():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    checked = {"linalg.py", "modules.py", "functors.py"}
-    assert unread_public_names(sources, checked) == sorted(UNREAD_PUBLIC)
+    assert unread_public_names(sources, set(sources)) == sorted(UNREAD_PUBLIC)
 
 
 def foreign_private_reads(source: str) -> list[str]:

@@ -3,6 +3,9 @@ import inspect
 import itertools
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,7 @@ from cohfun.oracle import (
     _group_invariants,
     _moduli,
     _run,
+    _solvable,
     _stream,
 )
 from cohfun.cli import parse_workspace
@@ -276,8 +280,8 @@ def test_group_invariants_of_known_groups(moduli, invariants):
 # The oracle's brute force, and what it may not read: the code it checks.
 BRUTE_FORCE = (
     "brute_hom", "brute_eval", "_enum_homs", "_moduli", "_combine",
-    "_group_invariants", "_type_module", "_lattice_contains", "_field_solvable",
-    "det", "_minors", "_rank", "_generates_kernel",
+    "_group_invariants", "_type_module", "_lattice_contains",
+    "_solvable", "det", "_minors", "_rank", "_generates_kernel",
 )
 CHECKED = {
     "hom_group", "solve_matrix", "express", "preimage_lattice", "hermite_basis",
@@ -403,7 +407,7 @@ class TestRandomInstances:
             elif kind == "nat":
                 assert first.a.mat == second.a.mat and first.b.mat == second.b.mat
             else:
-                assert first.mid == second.mid
+                assert instance_payload(first) == instance_payload(second)
 
     def test_distinct_seeds_differ_somewhere(self):
         mods = [random_instance("module", seed) for seed in range(8)]
@@ -416,8 +420,8 @@ class TestRandomInstances:
     def test_ses_is_pointwise_exact(self):
         battery = ProbeBattery(probes=default_battery(Z).probes[:4])
         for seed in (0, 1, 2):
-            ses = random_instance("ses", seed)
-            assert check_exact(padded_complex([ses.incl, ses.proj]), battery).passed
+            incl, proj = random_instance("ses", seed)
+            assert check_exact(padded_complex([incl, proj]), battery).passed
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -504,6 +508,50 @@ class TestSolveOracle:
         report = solve_oracle(ring)
         assert not report.passed
         assert any("x" in failure for failure in report.failures)
+
+
+def enumerated_solvable(m: Matrix, b: Matrix) -> bool:
+    """Solvability of m @ x == b over F_p by trying all p^c coefficient vectors."""
+    p = m.ring.p
+    return any(
+        all((sum(a * x for a, x in zip(row, xs)) - rhs[0]) % p == 0
+            for row, rhs in zip(m.entries, b.entries))
+        for xs in itertools.product(range(p), repeat=m.cols)
+    )
+
+
+class TestFieldSolvability:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_lattice_verdict_matches_enumeration(self, p):
+        ring = BaseRing.prime_field(p)
+        rng = random.Random(f"solvable:{p}")
+        verdicts = []
+        for _ in range(1500):
+            r, c = rng.randrange(0, 4), rng.randrange(0, 4)
+            m = Matrix.from_rows(
+                ring, [[rng.randrange(-3, 4) for _ in range(c)] for _ in range(r)], cols=c
+            )
+            b = Matrix.column(ring, [rng.randrange(-3, 4) for _ in range(r)])
+            assert _solvable(m, b) == enumerated_solvable(m, b), (m.to_lists(), b.to_lists())
+            verdicts.append(_solvable(m, b))
+        assert any(verdicts) and not all(verdicts)
+
+    def test_check_over_a_large_field_finishes(self):
+        # solvability by enumerating F_p^c would take minutes at this p
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "from cohfun import BaseRing\n"
+            "from cohfun.oracle import verify_theorems\n"
+            "for rep in verify_theorems(ring=BaseRing(65521), cases=1):\n"
+            "    print(rep.line())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": str(src), "PATH": ""}, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 16 and all(line.startswith("PASS ") for line in lines), lines
 
 
 class TestReports:
