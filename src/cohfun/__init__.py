@@ -30,7 +30,6 @@ from .modules import (
     is_mono,
     kernel_mor,
     render_group,
-    tensor_module,
     zero_mor,
 )
 from .functors import (

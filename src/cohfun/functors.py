@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .linalg import Matrix, block_diag, express, hstack, vstack
+from .linalg import Matrix, block_diag, express, hstack, smith_normal_form, vstack
 from .modules import (
     FpModule,
     HomGroup,
@@ -447,14 +447,21 @@ def ker_nat(alpha: NatMorphism) -> tuple[CoherentFunctor, NatMorphism]:
 
 
 def is_zero_functor(f: CoherentFunctor) -> bool:
-    """Exact test: F == 0 iff the class of the identity dies in F(X).
+    """Exact test: F == 0 iff f : X -> Y is a split mono.
 
     F is a quotient of (X, -), and the quotient map corresponds to
-    [1_X]; it is zero exactly when the presentation is a split mono,
-    which in turn forces every value to vanish.
+    [1_X]; F vanishes exactly when [1_X] dies in F(X), that is when
+    1_X == h∘f for some h : Y -> X, which in turn forces every value to
+    vanish.  With X and Y both free, such an h exists iff f's Smith
+    diagonal has X.gens entries, all units: that is read off f's matrix
+    without building F(X).  Otherwise the class of 1_X is tested in F(X).
     """
-    ev = _evaluation(f, f.source_module)
-    return ev.is_zero_class(identity_mor(f.source_module))
+    x, y = f.source_module, f.target_module
+    if x.rels.cols == 0 and y.rels.cols == 0:
+        diag = smith_normal_form(f.pres.mat).diag
+        return len(diag) == x.gens and all(f.ring.is_unit(d) for d in diag)
+    ev = _evaluation(f, x)
+    return ev.is_zero_class(identity_mor(x))
 
 
 def is_representable(f: CoherentFunctor) -> bool:

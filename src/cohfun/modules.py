@@ -3,11 +3,14 @@
 A module is stored as a cokernel presentation: ``gens`` generators and a
 relation matrix whose *columns* are relations.  A morphism is a matrix on
 generators, taken modulo the target's relations; well-definedness and
-equality are decided exactly by linear solving.  Cokernels, tensor
-products and direct sums are written down directly from presentations.
-Kernels, and Hom groups over Z, are preimage lattices computed by the
-Smith normal form primitives in ``linalg``; over a field, Hom groups
-are read off pruned presentations, which are free.
+equality are decided exactly by linear solving.  Cokernels and direct
+sums are written down directly from presentations.  Kernels, and Hom
+groups over Z from a module with relations, are preimage lattices
+computed by the Smith normal form primitives in ``linalg``.  The other
+Hom groups are presented on free data: over Z from a free module,
+Hom(Z^n, b) is b^n on the nose, and over a field Hom is read off the
+pruned presentations, which are free.  Those two kinds give the
+coordinates of a morphism by one matrix product instead of a solve.
 
 Object equality is identity of presentation.  Isomorphism is decided
 by comparing canonical forms (free rank plus invariant factors).
@@ -82,6 +85,29 @@ class FpModule:
 
     def describe(self) -> str:
         return render_group(self.ring, self.rank, self.invariant_factors)
+
+    @cached_property
+    def pruned(self) -> tuple[int, Matrix, Matrix, Matrix]:
+        """``prune(self)``, computed once per module and checked once.
+
+        ``s`` and ``t`` must be mutually inverse module maps; a prune
+        that breaks this raises here instead of giving wrong Hom
+        coordinates later.
+        """
+        if not self.rels.cols:  # a free module is already pruned
+            ident = Matrix.identity(self.ring, self.gens)
+            return self.gens, self.rels, ident, ident
+        gens, rels, s, t = prune(self)
+        small = FpModule(self.ring, gens, rels)
+        ModMorphism(self, small, s)  # each raises unless its map is well defined
+        ModMorphism(small, self, t)
+        # t∘s == 1 and s∘t == 1, each modulo its target's relations
+        if not (
+            self.snf.contains(t @ s - Matrix.identity(self.ring, self.gens))
+            and small.snf.contains(s @ t - Matrix.identity(self.ring, gens))
+        ):
+            raise ValueError("pruned presentation is not isomorphic to the module")
+        return gens, rels, s, t
 
 
 def render_group(ring: BaseRing, rank: int, factors: tuple[int, ...]) -> str:
@@ -221,13 +247,20 @@ class HomGroup:
     ``reps`` realizes each generator as a genuine morphism; ``coords``
     and ``from_coords`` convert between morphisms and coordinate columns
     (mutually inverse modulo the group's relations).  ``coords_all``
-    and ``induced`` express many morphisms with one solve.
+    and ``induced`` express many morphisms at once.
+
+    When ``coord_mat`` is set, the coordinates of a morphism are
+    ``coord_mat @ vec(phi)``, one product.  ``hom_group`` sets it for
+    the groups it presents on free data: the identity over Z from a free
+    source, and kron(s_b, t_a^T) over a field.  Otherwise coordinates
+    are solved for against the target's relations.
     """
 
     source: FpModule
     target: FpModule
     group: FpModule
     gen_mat: Matrix  # vec'd generator matrices, one column per generator
+    coord_mat: Matrix | None = None
 
     @cached_property
     def reps(self) -> tuple[ModMorphism, ...]:
@@ -243,6 +276,8 @@ class HomGroup:
 
     def _solve(self, vecs: Matrix) -> Matrix:
         """Coordinates of the vec'd morphism matrices in the columns of ``vecs``."""
+        if self.coord_mat is not None:
+            return self.coord_mat @ vecs
         z = self._solver.solve(vecs)
         if z is None:
             raise ValueError("morphism is not generated; Hom group is inconsistent")
@@ -266,7 +301,7 @@ class HomGroup:
         """Coordinates of post∘h∘pre, one column per generator h of ``dom``.
 
         A missing ``pre`` or ``post`` is the identity; the composites are
-        solved at once, as vec(post∘h∘pre) == kron(post, pre.T) vec(h).
+        expressed at once, as vec(post∘h∘pre) == kron(post, pre.T) vec(h).
         """
         a, b = self.source, self.target
         pre_mat = Matrix.identity(a.ring, a.gens) if pre is None else pre.mat
@@ -322,25 +357,36 @@ def hom_group(a: FpModule, b: FpModule) -> HomGroup:
     """Hom(a, b), computed in one of three ways.
 
     - Over a field, both modules prune to free ones, so Hom(a, b) is free
-      on the nb' x na' matrices M, realized as t_b @ M @ s_a.
-    - Over Z from a free ``a``, Hom(Z^na, b) is b^na on the nose.
+      on the nb' x na' matrices M, realized as t_b @ M @ s_a.  The
+      coordinates of phi are M = s_b @ phi @ t_a, unique because the
+      group is free: one product with kron(s_b, t_a^T).
+    - Over Z from a free ``a``, Hom(Z^na, b) is b^na on the nose, and
+      the coordinates of phi are vec(phi) itself.
     - Otherwise Hom(a, b) is the lattice of T with T @ rels_a in the span
-      of rels_b, modulo the T with columns in that span.
+      of rels_b, modulo the T with columns in that span; coordinates
+      are solved for.
     """
     if a.ring != b.ring:
         raise ValueError("Hom between modules over different rings")
     ring = a.ring
     if ring.is_field:
-        na, _, s_a, _ = prune(a)
-        nb, _, _, t_b = prune(b)
-        return HomGroup(a, b, FpModule.free(ring, nb * na), kron(t_b, s_a.transpose()))
+        na, _, s_a, t_a = a.pruned
+        nb, _, s_b, t_b = b.pruned
+        return HomGroup(
+            a,
+            b,
+            FpModule.free(ring, nb * na),
+            kron(t_b, s_a.transpose()),
+            coord_mat=kron(s_b, t_a.transpose()),
+        )
     na, ma = a.gens, a.rels.cols
     nb, mb = b.gens, b.rels.cols
     n = nb * na
     ident_na = Matrix.identity(ring, na)
+    coord_mat = None
     if ma == 0:
         # Hom(ring^na, B) is B^na on the nose; skip the kernel computation.
-        gen_mat = Matrix.identity(ring, n)
+        gen_mat = coord_mat = Matrix.identity(ring, n)
         rels = kron(b.rels, ident_na)
     else:
         # {T : T @ rels_a == rels_b @ W} as a sublattice of Z^(nb*na),
@@ -350,19 +396,7 @@ def hom_group(a: FpModule, b: FpModule) -> HomGroup:
         gen_mat = preimage_lattice(cond, modw)
         rels = preimage_lattice(gen_mat, kron(b.rels, ident_na))
     group = FpModule(ring, gen_mat.cols, rels)
-    return HomGroup(source=a, target=b, group=group, gen_mat=gen_mat)
-
-
-def tensor_module(a: FpModule, b: FpModule) -> FpModule:
-    """Tensor product; generator (i, j) sits at flat index i*b.gens + j."""
-    if a.ring != b.ring:
-        raise ValueError("tensor of modules over different rings")
-    ring = a.ring
-    rels = hstack(
-        kron(a.rels, Matrix.identity(ring, b.gens)),
-        kron(Matrix.identity(ring, a.gens), b.rels),
-    )
-    return FpModule(ring, a.gens * b.gens, rels)
+    return HomGroup(source=a, target=b, group=group, gen_mat=gen_mat, coord_mat=coord_mat)
 
 
 def direct_sum(

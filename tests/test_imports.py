@@ -189,9 +189,6 @@ def test_checker_sees_an_unread_field_and_method():
 
 # Public names the package itself never reads, each kept for a stated reader.
 UNREAD_PUBLIC = {
-    # the L0 acceptance criterion and tests/test_functors.py compare
-    # tensor_functor and l0_functor against the tensor product of modules
-    "tensor_module",
     # perfbench/tests pins this alias as a binding the tracer must reach
     "is_left_exact",
 }

@@ -19,12 +19,13 @@ from cohfun import (
     is_mono,
     kernel_mor,
     render_group,
-    tensor_module,
     zero_mor,
 )
-from cohfun.linalg import express, hstack
+from cohfun import modules
+from cohfun.linalg import express, hstack, kron, smith_normal_form, vec
 from cohfun.modules import HomGroup, prune
 from cohfun.oracle import Bounds, brute_hom, random_module, random_morphism, _stream
+from reference import tensor_module
 
 Z = BaseRing.integers()
 F5 = BaseRing.prime_field(5)
@@ -243,6 +244,106 @@ class TestPrune:
             gens, rels, s, t = prune(a)
             assert (gens, rels.cols) == (a.gens, 0)
             assert s == t == Matrix.identity(ring, a.gens)
+
+
+def solver_coords(h, vecs):
+    """The reference: solve on [gen_mat | target relations on vec'd matrices]."""
+    ident = Matrix.identity(h.source.ring, h.source.gens)
+    z = smith_normal_form(hstack(h.gen_mat, kron(h.target.rels, ident))).solve(vecs)
+    assert z is not None
+    return z.slice_rows(0, h.gen_mat.cols)
+
+
+def random_matrix(rng, ring, rows, cols, entry=9):
+    data = [[rng.randrange(-entry, entry + 1) for _ in range(cols)] for _ in range(rows)]
+    return Matrix.from_rows(ring, data, cols=cols)
+
+
+def shifted(rng, phi):
+    """phi plus rels_target @ W for a random W: the same morphism, another matrix."""
+    rels = phi.target.rels
+    w = random_matrix(rng, phi.ring, rels.cols, phi.source.gens)
+    return ModMorphism(phi.source, phi.target, phi.mat + rels @ w)
+
+
+def vecs_of(ring, phis, rows):
+    return hstack(Matrix.zeros(ring, rows, 0), *(vec(phi.mat) for phi in phis))
+
+
+class TestHomCoordinatesByProduct:
+    """Hom groups on free data give coordinates by one product, as the solver would."""
+
+    def test_free_source_over_z_reads_vec(self):
+        rng = _stream(0, "free-source-coords")
+        for _ in range(100):
+            a, b = free(rng.randrange(0, 4)), random_module(rng, Z, Bounds())
+            h = hom_group(a, b)
+            phis = [
+                shifted(rng, ModMorphism(a, b, random_matrix(rng, Z, b.gens, a.gens)))
+                for _ in range(3)
+            ]
+            vecs = vecs_of(Z, phis, h.gen_mat.rows)
+            assert h.coords_all(phis) == vecs == solver_coords(h, vecs)
+            b2 = random_module(rng, Z, Bounds())
+            post = shifted(rng, random_morphism(rng, b, b2, Bounds()))
+            into = hom_group(a, b2)
+            images = kron(post.mat, Matrix.identity(Z, a.gens)) @ h.gen_mat
+            assert into.induced(h, post=post) == images == solver_coords(into, images)
+            assert "_solver" not in vars(h) and "_solver" not in vars(into)
+
+    @pytest.mark.parametrize("ring", [BaseRing.prime_field(p) for p in (2, 5, 7)], ids=str)
+    def test_field_coords_match_the_solver(self, ring):
+        rng = _stream(0, "field-coords", ring)
+        for _ in range(100):
+            a, a2, b = (random_module(rng, ring, Bounds()) for _ in range(3))
+            h = hom_group(a, b)
+            phis = [shifted(rng, random_morphism(rng, a, b, Bounds())) for _ in range(3)]
+            vecs = vecs_of(ring, phis, h.gen_mat.rows)
+            assert h.coords_all(phis) == solver_coords(h, vecs)
+            pre = shifted(rng, random_morphism(rng, a2, a, Bounds()))
+            into = hom_group(a2, b)
+            images = kron(Matrix.identity(ring, b.gens), pre.mat.transpose()) @ h.gen_mat
+            assert into.induced(h, pre=pre) == solver_coords(into, images)
+            assert "_solver" not in vars(h) and "_solver" not in vars(into)
+
+    def test_hom_from_a_module_with_relations_over_z_solves(self):
+        h = hom_group(cyc(4), cyc(6))
+        assert h.coord_mat is None
+        h.coords(h.reps[0])
+        assert "_solver" in vars(h)
+
+
+class TestPrunedOncePerModule:
+    def test_prune_runs_once_per_module(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(modules, "prune", lambda a: seen.append(a) or prune(a))
+        hom_group.cache_clear()
+        rng = _stream(1, "prune-once", F5)
+        mods = [random_module(rng, F5, Bounds()) for _ in range(12)]
+        for a in mods:
+            for b in mods:
+                hom_group(a, b).coords_all([])
+        assert all(a.pruned is a.pruned for a in mods)
+        # a free module is already pruned; every other one is pruned once
+        with_relations = [a for a in mods if a.rels.cols]
+        assert with_relations and sorted(map(id, seen)) == sorted(map(id, with_relations))
+
+    @pytest.mark.parametrize("which", ["s", "t"])
+    def test_a_corrupted_prune_raises(self, which, monkeypatch):
+        def corrupted(a):
+            gens, rels, s, t = prune(a)
+            if which == "s":
+                return gens, rels, s + s, t
+            return gens, rels, s, t + t
+
+        monkeypatch.setattr(modules, "prune", corrupted)
+        # the unit relation removes g0 = -2 g1, leaving F5 on g1
+        a = FpModule(F5, 2, Matrix.from_rows(F5, [[1], [2]]))
+        with pytest.raises(ValueError, match="pruned presentation"):
+            a.pruned
+        hom_group.cache_clear()
+        with pytest.raises(ValueError, match="pruned presentation"):
+            hom_group(FpModule(F5, 2, Matrix.from_rows(F5, [[1], [2]])), free(1, F5))
 
 
 class TestKernelCokernel:
