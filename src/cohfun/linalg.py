@@ -8,6 +8,12 @@ arithmetic is arbitrary precision; Smith reduction is prone to
 intermediate coefficient growth, so fixed-width integers would be a
 correctness bug, not a performance tweak.
 
+One elimination routine serves both Smith forms and preimage lattices,
+and it carries only the witness rows its caller reads: all of u and v
+for ``smith_normal_form``, the kernel rows of v alone for
+``preimage_lattice``.  Both results are memoized per argument, and
+matrices cache their hash, so a repeated call costs one lookup.
+
 Conventions shared by the whole package:
 
 * matrices are immutable values that carry their ring;
@@ -23,7 +29,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 def _is_prime(n: int) -> bool:
@@ -65,14 +71,8 @@ class BaseRing:
     def normalize(self, x: int) -> int:
         return x % self.p if self.p is not None else x
 
-    def degree(self, x: int) -> int:
-        """Euclidean size function; only compared, never used as a value."""
-        if x == 0:
-            raise ValueError("degree of zero is undefined")
-        return 1 if self.p is not None else abs(x)
-
     def eucdiv(self, a: int, b: int) -> tuple[int, int]:
-        """Division a = q*b + r with r == 0 or degree(r) < degree(b).
+        """Division a = q*b + r with r == 0, or |r| < |b| over Z.
 
         Over the integers the remainder is symmetric (|r| <= |b|/2),
         which keeps pivoting coefficients small.
@@ -118,6 +118,16 @@ class Matrix:
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
+    # the hash of the four fields above, taken on first use: matrices key
+    # the module caches, and hashing walks every entry
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.ring, self.rows, self.cols, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
@@ -152,6 +162,7 @@ class Matrix:
         return _matrix(ring, rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
+    @functools.cache
     def identity(ring: BaseRing, n: int) -> "Matrix":
         if n < 0:
             raise ValueError("negative matrix dimensions")
@@ -214,7 +225,14 @@ class Matrix:
         return _matrix(self.ring, self.rows, self.cols, tuple(rows))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        self._same_shape(other)
+        p = self.ring.p
+        pairs = zip(self.entries, other.entries)
+        if p is None:
+            rows = tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in pairs)
+        else:
+            rows = tuple(tuple((a - b) % p for a, b in zip(r1, r2)) for r1, r2 in pairs)
+        return _matrix(self.ring, self.rows, self.cols, rows)
 
     def __neg__(self) -> "Matrix":
         p = self.ring.p
@@ -254,6 +272,7 @@ def _matrix(ring: BaseRing, rows: int, cols: int, entries: tuple) -> Matrix:
     object.__setattr__(m, "rows", rows)
     object.__setattr__(m, "cols", cols)
     object.__setattr__(m, "entries", entries)
+    object.__setattr__(m, "_hash", None)
     return m
 
 
@@ -269,7 +288,7 @@ def hstack(*mats: Matrix) -> Matrix:
     for m in mats:
         if m.ring != ring or m.rows != rows:
             raise ValueError("hstack: incompatible matrices")
-    entries = tuple(sum((m.entries[i] for m in mats), ()) for i in range(rows))
+    entries = tuple(sum(parts, ()) for parts in zip(*(m.entries for m in mats)))
     return _matrix(ring, rows, sum(m.cols for m in mats), entries)
 
 
@@ -298,9 +317,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     for arow in a.entries:
         for brow in b.entries:
             if p is None:
-                rows.append(tuple(x * y for x in arow for y in brow))
+                rows.append(tuple([x * y for x in arow for y in brow]))
             else:
-                rows.append(tuple(x * y % p for x in arow for y in brow))
+                rows.append(tuple([x * y % p for x in arow for y in brow]))
     return _matrix(a.ring, a.rows * b.rows, a.cols * b.cols, tuple(rows))
 
 
@@ -339,6 +358,11 @@ class SnfResult:
     def _v_image(self) -> Matrix:
         return self.v.slice_cols(0, len(self.diag))
 
+    @functools.cached_property
+    def _spans_everything(self) -> bool:
+        """m's columns span every vector: one diagonal entry per row, each 1."""
+        return len(self.diag) == self.u.rows and all(d == 1 for d in self.diag)
+
     def _reduced(self, b: Matrix) -> tuple[tuple[int, ...], ...] | None:
         """Rows of y with diag(d) @ y == (u @ b)[:r], or None if m x == b has no solution."""
         c = self.u @ b
@@ -356,7 +380,15 @@ class SnfResult:
         return tuple(y)
 
     def contains(self, b: Matrix) -> bool:
-        """True when every column of b lies in the column span of m."""
+        """True when every column of b lies in the column span of m.
+
+        With b of no columns, or m's columns spanning every vector, the
+        answer is known without forming u @ b.
+        """
+        if b.ring != self.u.ring or b.rows != self.u.rows:
+            raise ValueError("matrix does not match in membership test")
+        if not b.cols or self._spans_everything:
+            return True
         return self._reduced(b) is not None
 
     def solve(self, b: Matrix) -> Matrix | None:
@@ -383,105 +415,143 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _row_addmul(ring: BaseRing, a: list, dst: int, src: int, c: int) -> None:
-    row_d, row_s = a[dst], a[src]
-    if ring.p is None:
-        for k in range(len(row_d)):
-            row_d[k] += c * row_s[k]
-    else:
-        p = ring.p
-        for k in range(len(row_d)):
-            row_d[k] = (row_d[k] + c * row_s[k]) % p
-
-
-def _col_addmul(ring: BaseRing, a: list, dst: int, src: int, c: int) -> None:
-    if ring.p is None:
-        for row in a:
-            row[dst] += c * row[src]
-    else:
-        p = ring.p
-        for row in a:
-            row[dst] = (row[dst] + c * row[src]) % p
-
-
-def _row_combine(a: list, r1: int, r2: int, x: int, y: int, z: int, w: int) -> None:
-    """(row r1, row r2) <- (x*r1 + y*r2, z*r1 + w*r2); caller keeps det a unit."""
-    row1, row2 = a[r1], a[r2]
-    for k in range(len(row1)):
-        p, q = row1[k], row2[k]
-        row1[k] = x * p + y * q
-        row2[k] = z * p + w * q
-
-
 def _col_combine(a: list, c1: int, c2: int, x: int, y: int, z: int, w: int) -> None:
+    """(col c1, col c2) <- (x*c1 + y*c2, z*c1 + w*c2) over Z; rows zero in both stay."""
     for row in a:
         p, q = row[c1], row[c2]
-        row[c1] = x * p + y * q
-        row[c2] = z * p + w * q
+        if p or q:
+            row[c1] = x * p + y * q
+            row[c2] = z * p + w * q
 
 
-@functools.lru_cache(maxsize=None)
-def smith_normal_form(m: Matrix) -> SnfResult:
-    """Diagonalize m over its ring, returning witnesses u, v as well.
+def _eliminate(
+    p: int | None, a: list[list[int]], C: int, carry_u: bool, v_rows: int
+) -> tuple[list[list[int]], int]:
+    """Diagonalize an R x C matrix by unimodular row and column operations.
 
-    The reduction runs on the bordered matrix [[m, I_R], [I_C, 0]]:
-    pivoting and clearing look only at the top-left R x C block, but
-    each row operation acts on a whole one of the first R rows and each
-    column operation on a whole one of the first C columns, so the same
-    operations build u in the top-right block and v in the bottom-left.
+    a is the matrix as the caller's own list of rows, over F_p for a
+    prime p and over Z for p None.  It is reduced in place and returned
+    with the rank.  Its first R rows then hold the reduced matrix, each
+    followed by its row of u when ``carry_u``; the next ``v_rows`` rows
+    are the first rows of v.  This is the bordered
+    matrix [[m, I_R], [I_C, 0]] of ``smith_normal_form`` with the
+    witness rows and columns nobody reads left out: row operations act
+    on the first R rows alone and column operations on the first C
+    columns alone, so no kept entry depends on a dropped one.
 
-    Each stage picks a minimal-degree pivot and clears its row and
-    column with single-shot unimodular 2x2 combines (gcd steps), which
-    zero their target exactly instead of looping on remainders; that is
-    what keeps intermediate entries from exploding.  The divisibility
-    chain is repaired afterwards on the diagonal, where everything is
-    small.
+    Each stage picks a pivot of least |x| (over F_p: the first nonzero)
+    and clears its row and column with single-shot unimodular 2x2
+    combines (gcd steps), which zero their target exactly instead of
+    looping on remainders; that is what keeps intermediate entries from
+    exploding.  A column operation skips the rows where the entries it
+    reads are zero, which changes nothing: over F_p every entry is
+    already reduced.
     """
-    ring = m.ring
-    R, C = m.rows, m.cols
-    a = [list(row) + [1 if i == j else 0 for j in range(R)] for i, row in enumerate(m.entries)]
-    a += [[1 if i == j else 0 for j in range(C)] + [0] * R for i in range(C)]
+    R = len(a)
+    if carry_u:
+        zeros = [0] * R
+        for i, row in enumerate(a):
+            row += zeros
+            row[C + i] = 1
+    vrows = []
+    for i in range(v_rows):
+        row = [0] * C
+        row[i] = 1
+        vrows.append(row)
+    a += vrows
 
     rank = 0
     for t in range(min(R, C)):
-        piv = None
-        best = None
-        for i in range(t, R):
-            arow = a[i]
-            for j in range(t, C):
-                x = arow[j]
-                if x and (best is None or ring.degree(x) < best):
-                    best = ring.degree(x)
-                    piv = (i, j)
-            if best == 1:
-                break  # a unit pivot cannot be improved
-        if piv is None:
+        pi = pj = -1
+        if p is None:
+            best = 0
+            for i in range(t, R):
+                row = a[i]
+                for j in range(t, C):
+                    x = row[j]
+                    if x:
+                        if x < 0:
+                            x = -x
+                        if not best or x < best:
+                            best, pi, pj = x, i, j
+                            if x == 1:
+                                break  # a unit pivot cannot be improved
+                if best == 1:
+                    break
+        else:
+            for i in range(t, R):
+                row = a[i]
+                for j in range(t, C):
+                    if row[j]:
+                        pi, pj = i, j
+                        break
+                if pi >= 0:
+                    break
+        if pi < 0:
             break
         rank = t + 1
-        a[t], a[piv[0]] = a[piv[0]], a[t]
-        for row in a:
-            row[t], row[piv[1]] = row[piv[1]], row[t]
+        a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+
+        if p is not None:
+            # over a field the pivot row and column never change, and
+            # one pass clears both
+            rt = a[t]
+            inv = pow(rt[t], -1, p)
+            for i in range(t + 1, R):
+                ri = a[i]
+                if ri[t]:
+                    q = ri[t] * inv % p
+                    a[i] = [(x - q * y) % p for x, y in zip(ri, rt)]
+            # every top row but row t is zero in column t now, so a column
+            # operation zeroes entry j of row t and acts on v alone
+            for j in range(t + 1, C):
+                if rt[j]:
+                    q = rt[j] * inv % p
+                    rt[j] = 0
+                    for row in vrows:
+                        y = row[t]
+                        if y:
+                            row[j] = (row[j] - q * y) % p
+            continue
+
         while True:
             for i in range(t + 1, R):
-                b = a[i][t]
+                ri = a[i]
+                b = ri[t]
                 if not b:
                     continue
-                p0 = a[t][t]
-                if ring.is_field or b % p0 == 0:
-                    q, _ = ring.eucdiv(b, p0)
-                    _row_addmul(ring, a, i, t, -q)
+                rt = a[t]
+                p0 = rt[t]
+                if b % p0 == 0:
+                    q = b // p0
+                    a[i] = [x - q * y for x, y in zip(ri, rt)]
                 else:
                     x, y, g = xgcd(p0, b)
-                    _row_combine(a, t, i, x, y, -(b // g), p0 // g)
+                    z, w = -(b // g), p0 // g
+                    a[t] = [x * c1 + y * c2 for c1, c2 in zip(rt, ri)]
+                    a[i] = [z * c1 + w * c2 for c1, c2 in zip(rt, ri)]
             col_mixed = False
+            rt = a[t]
             for j in range(t + 1, C):
-                b = a[t][j]
+                b = rt[j]
                 if not b:
                     continue
-                p0 = a[t][t]
-                if ring.is_field or b % p0 == 0:
-                    q, _ = ring.eucdiv(b, p0)
-                    _col_addmul(ring, a, j, t, -q)
+                p0 = rt[t]
+                if b % p0 == 0:
+                    q = b // p0
+                    if col_mixed:
+                        rows = a
+                    else:
+                        # no combine yet in this pass: as over a field
+                        rt[j] = 0
+                        rows = vrows
+                    for row in rows:
+                        y = row[t]
+                        if y:
+                            row[j] -= q * y
                 else:
                     x, y, g = xgcd(p0, b)
                     _col_combine(a, t, j, x, y, -(b // g), p0 // g)
@@ -490,8 +560,24 @@ def smith_normal_form(m: Matrix) -> SnfResult:
                 break
             if all(a[i][t] == 0 for i in range(t + 1, R)):
                 break
+    return a, rank
 
-    if not ring.is_field:
+
+@functools.lru_cache(maxsize=None)
+def smith_normal_form(m: Matrix) -> SnfResult:
+    """Diagonalize m over its ring, returning witnesses u, v as well.
+
+    ``_eliminate`` carries all of u and v.  The divisibility chain is
+    repaired afterwards on the diagonal, where everything is small, and
+    each pivot row is scaled to a canonical diagonal entry.  Neither
+    step touches a column of v past the rank.
+    """
+    ring = m.ring
+    p = ring.p
+    R, C = m.rows, m.cols
+    a, rank = _eliminate(p, [list(row) for row in m.entries], C, carry_u=True, v_rows=C)
+
+    if p is None:
         # divisibility chain on the diagonal: each violating pair
         # (d_i, d_j) becomes (gcd, lcm) via one add, one column gcd
         # step, and one row clean-up
@@ -504,19 +590,19 @@ def smith_normal_form(m: Matrix) -> SnfResult:
                     if dj % di == 0:
                         continue
                     done = False
-                    _row_addmul(ring, a, i, j, 1)
+                    a[i] = [x + y for x, y in zip(a[i], a[j])]
                     x, y, g = xgcd(di, dj)
                     _col_combine(a, i, j, x, y, -(dj // g), di // g)
                     q = a[j][i] // a[i][i]
-                    _row_addmul(ring, a, j, i, -q)
+                    a[j] = [x - q * y for x, y in zip(a[j], a[i])]
 
     for i in range(rank):
         c = ring.canonical_scale(a[i][i])
         if c != 1:
-            a[i] = [ring.normalize(c * x) for x in a[i]]
+            a[i] = [-x for x in a[i]] if p is None else [c * x % p for x in a[i]]
     return SnfResult(
         u=_matrix(ring, R, R, tuple(tuple(row[C:]) for row in a[:R])),
-        v=_matrix(ring, C, C, tuple(tuple(row[:C]) for row in a[R:])),
+        v=_matrix(ring, C, C, tuple(map(tuple, a[R:]))),
         diag=tuple(a[i][i] for i in range(rank)),
     )
 
@@ -531,11 +617,11 @@ def hermite_basis(m: Matrix) -> Matrix:
     and a Hermite form taken on any earlier generators of the same
     lattice would be wasted: take it once, on the generators returned.
 
-    The columns are eliminated as rows with the row helpers of
-    ``smith_normal_form``: at each row, the first column holding a
-    nonzero entry accumulates the gcd of the entries there.
+    The columns are eliminated as rows: at each row, the first column
+    holding a nonzero entry accumulates the gcd of the entries there.
     """
     ring = m.ring
+    p = ring.p
     n = m.rows
     cols = [list(c) for c in zip(*m.entries) if any(c)]
     result: list[list[int]] = []  # pivot columns, by increasing pivot row
@@ -544,24 +630,43 @@ def hermite_basis(m: Matrix) -> Matrix:
         if not holders:
             continue
         cols = [c for c in cols if not c[i]]
-        for k in range(1, len(holders)):
-            a, b = holders[0][i], holders[k][i]
-            if ring.is_field:
-                _row_addmul(ring, holders, k, 0, -ring.eucdiv(b, a)[0])
-            else:
+        head = holders[0]
+        if p is None:
+            for other in holders[1:]:
+                a, b = head[i], other[i]
                 x, y, g = xgcd(a, b)
-                _row_combine(holders, 0, k, x, y, -(b // g), a // g)
-            if any(holders[k]):
-                cols.append(holders[k])
-        scale = ring.canonical_scale(holders[0][i])
+                z, w = -(b // g), a // g
+                if y:
+                    head, other = (
+                        [x * c1 + y * c2 for c1, c2 in zip(head, other)],
+                        [z * c1 + w * c2 for c1, c2 in zip(head, other)],
+                    )
+                else:
+                    # a divides b: head is kept (times x, a unit)
+                    other = [z * c1 + w * c2 for c1, c2 in zip(head, other)]
+                    if x != 1:
+                        head = [x * c for c in head]
+                if any(other):
+                    cols.append(other)
+        else:
+            inv = pow(head[i], -1, p)
+            for other in holders[1:]:
+                q = other[i] * inv % p
+                other = [(x - q * y) % p for x, y in zip(other, head)]
+                if any(other):
+                    cols.append(other)
+        scale = ring.canonical_scale(head[i])
         if scale != 1:
-            _row_addmul(ring, holders, 0, 0, scale - 1)  # row 0 <- scale * row 0
-        result.append(holders[0])
-        for j in range(len(result) - 1):
-            q = result[j][i] // result[-1][i]
+            head = [-x for x in head] if p is None else [scale * x % p for x in head]
+        for j, prev in enumerate(result):
+            q = prev[i] // head[i]
             if q:
-                _row_addmul(ring, result, j, -1, -q)
-    return _matrix(ring, len(result), n, tuple(map(tuple, result))).transpose()
+                if p is None:
+                    result[j] = [x - q * y for x, y in zip(prev, head)]
+                else:
+                    result[j] = [(x - q * y) % p for x, y in zip(prev, head)]
+        result.append(head)
+    return _matrix(ring, n, len(result), tuple(zip(*result)) if result else ((),) * n)
 
 
 def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
@@ -573,19 +678,28 @@ def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:
     return smith_normal_form(m).solve(b)
 
 
+@functools.lru_cache(maxsize=None)
 def preimage_lattice(p: Matrix, q: Matrix) -> Matrix:
     """Generators of the lattice {x : p @ x lies in the column span of q}.
 
-    The raw Smith kernel columns of [p | -q] are projected onto the x
-    block, and the projection is put in Hermite form once.  Hermite form
-    is canonical for the lattice, so taking it on the whole kernel first
-    could not change the answer.  With q of no columns it is the kernel
-    of p.
+    [p | -q] is eliminated carrying only the first p.cols rows of v, and
+    no u: the kernel columns of v (those past the rank), cut to those
+    rows, project the kernel of [p | -q] onto the x block.  The
+    projection is put in Hermite form once.  Hermite form is canonical
+    for the lattice, so taking it on the whole kernel first could not
+    change the answer.  The result is memoized per (p, q).  With q of no
+    columns it is the kernel of p.
     """
     if p.ring != q.ring or p.rows != q.rows:
         raise ValueError("incompatible matrices in preimage_lattice")
-    snf = smith_normal_form(hstack(p, -q))
-    return hermite_basis(snf.v.slice_rows(0, p.cols).slice_cols(len(snf.diag), snf.v.cols))
+    mod = p.ring.p
+    if mod is None:
+        a = [list(x) + [-y for y in z] for x, z in zip(p.entries, q.entries)]
+    else:
+        a = [list(x) + [-y % mod for y in z] for x, z in zip(p.entries, q.entries)]
+    a, rank = _eliminate(mod, a, p.cols + q.cols, carry_u=False, v_rows=p.cols)
+    kernel = tuple(tuple(row[rank:]) for row in a[p.rows:])
+    return hermite_basis(_matrix(p.ring, p.cols, p.cols + q.cols - rank, kernel))
 
 
 def express(gens: Matrix, rels: Matrix, target: Matrix) -> Matrix | None:

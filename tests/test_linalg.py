@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -22,6 +23,7 @@ from cohfun.linalg import (
 )
 from cohfun.modules import FpModule
 from cohfun.oracle import det
+import reference
 
 Z = BaseRing.integers()
 F5 = BaseRing.prime_field(5)
@@ -408,6 +410,7 @@ class TestOneHermitePass:
 
     @pytest.mark.parametrize("ring", [Z, F5], ids=["Z", "F5"])
     def test_preimage_lattice_takes_one_hermite_form(self, ring, monkeypatch):
+        preimage_lattice.cache_clear()  # a memoized answer would take none
         calls = []
         real = linalg.hermite_basis
         monkeypatch.setattr(linalg, "hermite_basis", lambda m: calls.append(m) or real(m))
@@ -415,6 +418,120 @@ class TestOneHermitePass:
         q = Matrix.from_rows(ring, [[6, 0], [3, 9]])
         preimage_lattice(p, q)
         assert len(calls) == 1
+
+
+def draw_sparse_matrix(data, ring, rows, cols):
+    """Entries up to 60 in size, about a third of them zero: gcd steps and skipped rows both occur."""
+    entries = st.one_of(st.just(0), st.integers(min_value=-60, max_value=60))
+    return Matrix.from_rows(
+        ring, [[data.draw(entries) for _ in range(cols)] for _ in range(rows)], cols=cols
+    )
+
+
+class TestEliminationMatchesTheReference:
+    """The elimination that carries only the witnesses read builds what the full one built.
+
+    The reference is the full bordered elimination, kept in
+    ``tests/reference.py``; every comparison is of whole matrices, so
+    entries, shapes and rings must all agree.
+    """
+
+    @given(st.sampled_from(SOLVER_RINGS), st.integers(0, 6), st.integers(0, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_smith_form_and_hermite_basis(self, ring, rows, cols, data):
+        m = draw_sparse_matrix(data, ring, rows, cols)
+        new, old = smith_normal_form(m), reference.smith_normal_form(m)
+        assert (new.u, new.v, new.diag) == (old.u, old.v, old.diag)
+        assert hermite_basis(m) == reference.hermite_basis(m)
+
+    @given(st.sampled_from(SOLVER_RINGS), st.integers(0, 5), st.integers(0, 6),
+           st.integers(0, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_preimage_lattice_and_its_hermite_input(self, ring, rows, c1, c2, data):
+        p, q = draw_sparse_matrix(data, ring, rows, c1), draw_sparse_matrix(data, ring, rows, c2)
+        inputs = []
+        real = linalg.hermite_basis
+        linalg.hermite_basis = lambda m: inputs.append(m) or real(m)
+        try:
+            got = preimage_lattice.__wrapped__(p, q)  # past the memo
+        finally:
+            linalg.hermite_basis = real
+        assert got == reference.preimage_lattice(p, q)
+        # the raw kernel block of the full Smith witness v
+        snf = reference.smith_normal_form(hstack(p, -q))
+        assert inputs == [snf.v.slice_rows(0, p.cols).slice_cols(len(snf.diag), snf.v.cols)]
+
+    def test_preimage_lattice_is_memoized(self):
+        p = Matrix.from_rows(Z, [[4, 2, 1], [0, 6, 3]])
+        q = Matrix.from_rows(Z, [[6, 0], [3, 9]])
+        first = preimage_lattice(p, q)
+        assert preimage_lattice(Matrix.from_rows(Z, p.entries), q) is first
+
+
+def full_membership(snf, b):
+    """The whole test: u @ b vanishes below the rank and d_i divides its row i."""
+    c = snf.u @ b
+    r = len(snf.diag)
+    return not any(any(row) for row in c.entries[r:]) and all(
+        x % d == 0 for d, row in zip(snf.diag, c.entries) for x in row
+    )
+
+
+class TestMembership:
+    @pytest.mark.parametrize("ring", SOLVER_RINGS, ids=str)
+    def test_contains_agrees_with_the_full_test(self, ring):
+        rng = random.Random(f"contains:{ring}")
+        seen = {"no columns": 0, "spans everything": 0, "product": 0}
+        for _ in range(300):
+            m = rand_matrix(rng, ring, max_dim=4, lo=-3, hi=3)
+            snf = smith_normal_form(m)
+            k = rng.randrange(0, 3)
+            b = Matrix.from_rows(
+                ring, [[rng.randrange(-5, 6) for _ in range(k)] for _ in range(m.rows)], cols=k
+            )
+            if rng.random() < 0.3:
+                b = m @ Matrix.from_rows(
+                    ring, [[rng.randrange(-2, 3) for _ in range(k)] for _ in range(m.cols)], cols=k
+                )
+            spans = len(snf.diag) == m.rows and set(snf.diag) <= {1}
+            seen["no columns" if not k else "spans everything" if spans else "product"] += 1
+            assert snf.contains(b) == full_membership(snf, b)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_mismatch_raises_on_every_path(self, ring):
+        spanning = smith_normal_form(Matrix.identity(ring, 2))
+        degenerate = smith_normal_form(Matrix.from_rows(ring, [[2, 0], [0, 0]]))
+        for snf in (spanning, degenerate):
+            for cols in (0, 1):
+                for rows in (1, 3):
+                    with pytest.raises(ValueError):
+                        snf.contains(Matrix.zeros(ring, rows, cols))
+            with pytest.raises(ValueError):
+                snf.contains(Matrix.zeros(F5 if ring == Z else Z, 2, 0))
+
+
+class TestMatrixHash:
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_equal_matrices_hash_equally(self, ring):
+        rng = random.Random(f"hash:{ring}")
+        for _ in range(100):
+            a = rand_matrix(rng, ring, max_dim=4)
+            built = Matrix(ring, a.rows, a.cols, a.entries)
+            derived = (a + Matrix.zeros(ring, a.rows, a.cols)).transpose().transpose()
+            assert a == built == derived
+            assert hash(a) == hash(built) == hash(derived)
+            assert hash(a) == hash((a.ring, a.rows, a.cols, a.entries))
+
+    def test_cached_hash_is_neither_compared_nor_printed(self):
+        a = Matrix.from_rows(Z, [[1, 2], [3, 4]])
+        b = Matrix.from_rows(Z, [[1, 2], [3, 4]])
+        hash(a)  # a holds its hash now, b does not
+        assert a == b and not a != b
+        assert "_hash" not in repr(a) and repr(a) == repr(b)
+        assert Matrix.from_rows(Z, [[1, 2], [3, 5]]) != a
+        (spec,) = [f for f in dataclasses.fields(Matrix) if f.name == "_hash"]
+        assert not (spec.init or spec.compare or spec.repr)
 
 
 def assert_well_formed(m):
@@ -451,6 +568,7 @@ class TestInternalResults:
             assert_well_formed(m)
         assert unvec(vec(a), rows, cols) == a
         assert a - a == Matrix.zeros(ring, rows, cols)
+        assert a - b == a + (-b)
 
 
 class TestKron:
