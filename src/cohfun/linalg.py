@@ -71,21 +71,6 @@ class BaseRing:
     def normalize(self, x: int) -> int:
         return x % self.p if self.p is not None else x
 
-    def eucdiv(self, a: int, b: int) -> tuple[int, int]:
-        """Division a = q*b + r with r == 0, or |r| < |b| over Z.
-
-        Over the integers the remainder is symmetric (|r| <= |b|/2),
-        which keeps pivoting coefficients small.
-        """
-        if b == 0:
-            raise ZeroDivisionError("division by zero in base ring")
-        if self.p is not None:
-            return a * pow(b, -1, self.p) % self.p, 0
-        q, r = divmod(a, b)
-        if 2 * abs(r) > abs(b):
-            q, r = q + 1, r - b
-        return q, r
-
     def is_unit(self, x: int) -> bool:
         if self.p is not None:
             return x % self.p != 0

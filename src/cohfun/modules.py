@@ -9,16 +9,19 @@ groups over Z from a module with relations, are preimage lattices
 computed by the Smith normal form primitives in ``linalg``.  The other
 Hom groups are presented on free data: over Z from a free module,
 Hom(Z^n, b) is b^n on the nose, and over a field Hom is read off the
-pruned presentations, which are free.  Those two kinds give the
-coordinates of a morphism by one matrix product instead of a solve.
+pruned presentations, which are free; each distinct presentation is
+pruned once.  Those two kinds give the coordinates of a morphism by one
+matrix product instead of a solve.
 
-Object equality is identity of presentation.  Isomorphism is decided
-by comparing canonical forms (free rank plus invariant factors).
+A module is its presentation.  Its Smith form, and the free rank and
+invariant factors read off it, are computed when first read.  Object
+equality is identity of presentation.  Isomorphism is decided by
+comparing canonical forms (free rank plus invariant factors).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .linalg import (
@@ -38,18 +41,16 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class FpModule:
-    """coker(rels : ring^m -> ring^gens), with its canonical form cached.
+    """coker(rels : ring^m -> ring^gens): the presentation and nothing else.
 
-    ``snf`` is the Smith form of ``rels``: the solver that decides
-    whether columns lie in the relation span.
+    ``snf``, the Smith form of ``rels``, is computed when first read: it
+    decides whether columns lie in the relation span, and ``rank`` and
+    ``invariant_factors`` are read off its diagonal.
     """
 
     ring: BaseRing
     gens: int
     rels: Matrix
-    snf: SnfResult = field(init=False, compare=False, repr=False)
-    rank: int = field(init=False, compare=False, repr=False)
-    invariant_factors: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rels.ring != self.ring:
@@ -58,14 +59,6 @@ class FpModule:
             raise ValueError(
                 f"relation matrix has {self.rels.rows} rows for {self.gens} generators"
             )
-        snf = smith_normal_form(self.rels)
-        object.__setattr__(self, "snf", snf)
-        object.__setattr__(self, "rank", self.gens - len(snf.diag))
-        object.__setattr__(
-            self,
-            "invariant_factors",
-            tuple(d for d in snf.diag if not self.ring.is_unit(d)),
-        )
 
     @staticmethod
     def free(ring: BaseRing, n: int) -> "FpModule":
@@ -79,35 +72,24 @@ class FpModule:
     def cyclic(ring: BaseRing, d: int) -> "FpModule":
         return FpModule(ring, 1, Matrix.from_rows(ring, [[d]]))
 
+    @cached_property
+    def snf(self) -> SnfResult:
+        return smith_normal_form(self.rels)
+
+    @property
+    def rank(self) -> int:
+        return self.gens - len(self.snf.diag)
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        return tuple(d for d in self.snf.diag if not self.ring.is_unit(d))
+
     @property
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.invariant_factors
 
     def describe(self) -> str:
         return render_group(self.ring, self.rank, self.invariant_factors)
-
-    @cached_property
-    def pruned(self) -> tuple[int, Matrix, Matrix, Matrix]:
-        """``prune(self)``, computed once per module and checked once.
-
-        ``s`` and ``t`` must be mutually inverse module maps; a prune
-        that breaks this raises here instead of giving wrong Hom
-        coordinates later.
-        """
-        if not self.rels.cols:  # a free module is already pruned
-            ident = Matrix.identity(self.ring, self.gens)
-            return self.gens, self.rels, ident, ident
-        gens, rels, s, t = prune(self)
-        small = FpModule(self.ring, gens, rels)
-        ModMorphism(self, small, s)  # each raises unless its map is well defined
-        ModMorphism(small, self, t)
-        # t∘s == 1 and s∘t == 1, each modulo its target's relations
-        if not (
-            self.snf.contains(t @ s - Matrix.identity(self.ring, self.gens))
-            and small.snf.contains(s @ t - Matrix.identity(self.ring, gens))
-        ):
-            raise ValueError("pruned presentation is not isomorphic to the module")
-        return gens, rels, s, t
 
 
 def render_group(ring: BaseRing, rank: int, factors: tuple[int, ...]) -> str:
@@ -180,10 +162,6 @@ class ModMorphism:
     @property
     def ring(self) -> BaseRing:
         return self.source.ring
-
-    @property
-    def is_zero(self) -> bool:
-        return self.target.snf.contains(self.mat)
 
     def _same_endpoints(self, other: "ModMorphism") -> None:
         if self.source != other.source or self.target != other.target:
@@ -320,46 +298,66 @@ class HomGroup:
         return ModMorphism(self.source, self.target, mat)
 
 
-def prune(a: FpModule) -> tuple[int, Matrix, Matrix, Matrix]:
-    """A smaller presentation of ``a``: ``(gens, rels, s, t)``.
+def prune(rels: Matrix) -> tuple[Matrix, Matrix]:
+    """Prune the presentation coker(rels) over a field: ``(s, t)``.
 
-    Each unit entry of a relation removes its generator and that
-    relation (the ``prune`` of Macaulay2); zero relations are dropped.
-    ``s : a -> a'`` and ``t : a' -> a`` are mutually inverse, and ``t``
-    keeps the surviving generators.  Over a field ``a'`` is free.
+    Each nonzero entry of a relation removes its generator and that
+    relation (the ``prune`` of Macaulay2), until no relation is left,
+    so the pruned module is free of rank ``s.rows``.  ``s`` maps the
+    module onto it and ``t``, which keeps the surviving generators,
+    maps it back; the two are mutually inverse.
     """
-    ring, n, r = a.ring, a.gens, a.rels.cols
+    ring, n, r = rels.ring, rels.rows, rels.cols
+    p = ring.p
     # one row per current generator: its relation entries, then its row of s
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rels.entries)]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rels.entries)]
     kept, live = list(range(n)), list(range(r))
-    while pivot := next(
-        ((i, j) for j in live for i, row in enumerate(rows) if ring.is_unit(row[j])), None
-    ):
+    while pivot := next(((i, j) for j in live for i, row in enumerate(rows) if row[j]), None):
         i, j = pivot
-        inv = ring.eucdiv(1, rows[i][j])[0]
+        inv = pow(rows[i][j], -1, p)
         prow = rows.pop(i)
         del kept[i]
         live.remove(j)
         # generator i is -inv * (the rest of relation j); substitute it everywhere
         for row in rows:
             if c := row[j] * inv:
-                row[:] = [ring.normalize(x - c * y) for x, y in zip(row, prow)]
-    live = [j for j in live if any(row[j] for row in rows)]
+                row[:] = [(x - c * y) % p for x, y in zip(row, prow)]
     m = len(rows)
-    rels = Matrix(ring, m, len(live), tuple(tuple(row[j] for j in live) for row in rows))
     s = Matrix(ring, m, n, tuple(tuple(row[r:]) for row in rows))
     t = Matrix(ring, n, m, tuple(tuple(int(k == i) for k in kept) for i in range(n)))
-    return m, rels, s, t
+    return s, t
+
+
+@lru_cache(maxsize=None)
+def pruned_maps(rels: Matrix) -> tuple[Matrix, Matrix]:
+    """``prune(rels)``, computed once per presentation and checked once.
+
+    The pruned module is free, so ``s`` is well defined iff
+    ``s @ rels`` is zero and s∘t == 1 iff ``s @ t`` is the identity;
+    only t∘s == 1 needs a membership test in the relation span.  A
+    prune that breaks this raises here instead of giving wrong Hom
+    coordinates later.
+    """
+    s, t = prune(rels)
+    ring = rels.ring
+    if not (
+        (s @ rels).is_zero
+        and s @ t == Matrix.identity(ring, s.rows)
+        and smith_normal_form(rels).contains(t @ s - Matrix.identity(ring, rels.rows))
+    ):
+        raise ValueError("pruned presentation is not isomorphic to the module")
+    return s, t
 
 
 @lru_cache(maxsize=None)
 def hom_group(a: FpModule, b: FpModule) -> HomGroup:
     """Hom(a, b), computed in one of three ways.
 
-    - Over a field, both modules prune to free ones, so Hom(a, b) is free
-      on the nb' x na' matrices M, realized as t_b @ M @ s_a.  The
-      coordinates of phi are M = s_b @ phi @ t_a, unique because the
-      group is free: one product with kron(s_b, t_a^T).
+    - Over a field, both modules prune to free ones (``pruned_maps``,
+      shared by equal presentations), so Hom(a, b) is free on the
+      nb' x na' matrices M, realized as t_b @ M @ s_a.  The coordinates
+      of phi are M = s_b @ phi @ t_a, unique because the group is free:
+      one product with kron(s_b, t_a^T).
     - Over Z from a free ``a``, Hom(Z^na, b) is b^na on the nose, and
       the coordinates of phi are vec(phi) itself.
     - Otherwise Hom(a, b) is the lattice of T with T @ rels_a in the span
@@ -370,12 +368,12 @@ def hom_group(a: FpModule, b: FpModule) -> HomGroup:
         raise ValueError("Hom between modules over different rings")
     ring = a.ring
     if ring.is_field:
-        na, _, s_a, t_a = a.pruned
-        nb, _, s_b, t_b = b.pruned
+        s_a, t_a = pruned_maps(a.rels)
+        s_b, t_b = pruned_maps(b.rels)
         return HomGroup(
             a,
             b,
-            FpModule.free(ring, nb * na),
+            FpModule.free(ring, s_b.rows * s_a.rows),
             kron(t_b, s_a.transpose()),
             coord_mat=kron(s_b, t_a.transpose()),
         )

@@ -6,8 +6,13 @@ the package carries no code only its tests need.
 ``smith_normal_form``, ``hermite_basis`` and ``preimage_lattice`` below
 are the package's elimination before it carried only the witnesses its
 callers read, kept as they were with two differences: the Euclidean
-size is the function ``_degree`` here (it was ``BaseRing.degree``), and
-nothing is memoized, so every call runs the elimination.
+size and division are the functions ``_degree`` and ``_eucdiv`` here
+(they were ``BaseRing.degree`` and ``BaseRing.eucdiv``), and nothing is
+memoized, so every call runs the elimination.
+
+``prune`` is the package's pruning before it served only Hom over a
+field: it runs over either ring, and returns the pruned presentation
+with the two maps.
 """
 
 from cohfun import BaseRing, FpModule, Matrix
@@ -26,11 +31,55 @@ def tensor_module(a: FpModule, b: FpModule) -> FpModule:
     return FpModule(ring, a.gens * b.gens, rels)
 
 
+def prune(a: FpModule) -> tuple[int, Matrix, Matrix, Matrix]:
+    """A smaller presentation of ``a``: ``(gens, rels, s, t)``.
+
+    Each unit entry of a relation removes its generator and that
+    relation (the ``prune`` of Macaulay2); zero relations are dropped.
+    ``s : a -> a'`` and ``t : a' -> a`` are mutually inverse, and ``t``
+    keeps the surviving generators.  Over a field ``a'`` is free.
+    """
+    ring, n, r = a.ring, a.gens, a.rels.cols
+    # one row per current generator: its relation entries, then its row of s
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.rels.entries)]
+    kept, live = list(range(n)), list(range(r))
+    while pivot := next(
+        ((i, j) for j in live for i, row in enumerate(rows) if ring.is_unit(row[j])), None
+    ):
+        i, j = pivot
+        inv = _eucdiv(ring, 1, rows[i][j])[0]
+        prow = rows.pop(i)
+        del kept[i]
+        live.remove(j)
+        # generator i is -inv * (the rest of relation j); substitute it everywhere
+        for row in rows:
+            if c := row[j] * inv:
+                row[:] = [ring.normalize(x - c * y) for x, y in zip(row, prow)]
+    live = [j for j in live if any(row[j] for row in rows)]
+    m = len(rows)
+    rels = Matrix(ring, m, len(live), tuple(tuple(row[j] for j in live) for row in rows))
+    s = Matrix(ring, m, n, tuple(tuple(row[r:]) for row in rows))
+    t = Matrix(ring, n, m, tuple(tuple(int(k == i) for k in kept) for i in range(n)))
+    return m, rels, s, t
+
+
 def _degree(ring: BaseRing, x: int) -> int:
     """Euclidean size function; only compared, never used as a value."""
     if x == 0:
         raise ValueError("degree of zero is undefined")
     return 1 if ring.p is not None else abs(x)
+
+
+def _eucdiv(ring: BaseRing, a: int, b: int) -> tuple[int, int]:
+    """Division a = q*b + r with r == 0, or |r| <= |b|/2 over Z."""
+    if b == 0:
+        raise ZeroDivisionError("division by zero in base ring")
+    if ring.p is not None:
+        return a * pow(b, -1, ring.p) % ring.p, 0
+    q, r = divmod(a, b)
+    if 2 * abs(r) > abs(b):
+        q, r = q + 1, r - b
+    return q, r
 
 
 def _row_addmul(ring: BaseRing, a: list, dst: int, src: int, c: int) -> None:
@@ -117,7 +166,7 @@ def smith_normal_form(m: Matrix) -> SnfResult:
                     continue
                 p0 = a[t][t]
                 if ring.is_field or b % p0 == 0:
-                    q, _ = ring.eucdiv(b, p0)
+                    q, _ = _eucdiv(ring, b, p0)
                     _row_addmul(ring, a, i, t, -q)
                 else:
                     x, y, g = xgcd(p0, b)
@@ -129,7 +178,7 @@ def smith_normal_form(m: Matrix) -> SnfResult:
                     continue
                 p0 = a[t][t]
                 if ring.is_field or b % p0 == 0:
-                    q, _ = ring.eucdiv(b, p0)
+                    q, _ = _eucdiv(ring, b, p0)
                     _col_addmul(ring, a, j, t, -q)
                 else:
                     x, y, g = xgcd(p0, b)
@@ -196,7 +245,7 @@ def hermite_basis(m: Matrix) -> Matrix:
         for k in range(1, len(holders)):
             a, b = holders[0][i], holders[k][i]
             if ring.is_field:
-                _row_addmul(ring, holders, k, 0, -ring.eucdiv(b, a)[0])
+                _row_addmul(ring, holders, k, 0, -_eucdiv(ring, b, a)[0])
             else:
                 x, y, g = xgcd(a, b)
                 _row_combine(holders, 0, k, x, y, -(b // g), a // g)

@@ -13,6 +13,10 @@ in ``UNREAD_PUBLIC``.  An attribute ``x.name`` reads ``name`` wherever
 it appears; a bare ``name`` reads it only in a module that defines or
 imports ``name``, so a local variable that happens to share the name
 is not a reader.
+
+The same holds for the test suite: every public top-level helper or
+constant in ``tests/`` is read somewhere, apart from what pytest reads
+itself (``test_*`` functions, ``Test*`` classes and fixtures).
 """
 
 import ast
@@ -116,17 +120,20 @@ def class_members(cls: ast.ClassDef) -> dict[ast.AST, list[str]]:
     return members
 
 
-def unread_public_names(sources: dict[str, str], checked: set[str]) -> list[str]:
+def unread_public_names(
+    sources: dict[str, str], checked: set[str], skipped: frozenset[str] = frozenset()
+) -> list[str]:
     """Names defined in ``checked`` that nothing reads.
 
     Checked are the public top-level functions, classes and aliases,
     and every member of a top-level class but its dunders: methods,
-    properties, dataclass fields.  ``sources`` maps file names to
-    source text.  An attribute ``x.name`` loaded in any of them reads
-    ``name``.  A bare ``name`` reads it only in a module that defines
-    ``name`` at top level or imports it, so a local variable that
-    shares a name defined elsewhere reads nothing.  No definition
-    reads itself.
+    properties, dataclass fields.  A top-level definition named in
+    ``skipped`` is not checked, and neither are its members.
+    ``sources`` maps file names to source text.  An attribute
+    ``x.name`` loaded in any of them reads ``name``.  A bare ``name``
+    reads it only in a module that defines ``name`` at top level or
+    imports it, so a local variable that shares a name defined
+    elsewhere reads nothing.  No definition reads itself.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
     reads: dict[str, set[int]] = {}
@@ -145,6 +152,8 @@ def unread_public_names(sources: dict[str, str], checked: set[str]) -> list[str]
     unread = []
     for name in checked:
         for node, names in top_level_names(trees[name]).items():
+            if set(names) & skipped:
+                continue
             defs = {node: [n for n in names if not n.startswith("_")]}
             if isinstance(node, ast.ClassDef):
                 defs |= class_members(node)
@@ -197,6 +206,46 @@ UNREAD_PUBLIC = {
 def test_public_library_names_are_read_in_the_package():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert unread_public_names(sources, set(sources)) == sorted(UNREAD_PUBLIC)
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def collected_by_pytest(source: str) -> set[str]:
+    """Top-level names pytest reads itself: ``test_*``, ``Test*`` and fixtures."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and (
+            node.name.startswith(("test_", "Test"))
+            or any("fixture" in ast.unparse(d) for d in node.decorator_list)
+        )
+    }
+
+
+def test_checker_skips_what_pytest_collects():
+    source = (
+        "import pytest\n"
+        "LIMIT = 3\n"
+        "def helper(): pass\n"
+        "@pytest.fixture\n"
+        "def ring(): pass\n"
+        "def test_a(ring): assert LIMIT\n"
+        "class TestK:\n"
+        "    def test_b(self): pass\n"
+    )
+    skipped = frozenset(collected_by_pytest(source))
+    assert skipped == {"ring", "test_a", "TestK"}
+    assert unread_public_names({"t.py": source}, {"t.py"}, skipped) == ["helper"]
+
+
+def test_test_helpers_are_read():
+    """Every public top-level helper or constant in ``tests/`` is read somewhere."""
+    tests = {f"tests/{p.name}": p.read_text(encoding="utf-8") for p in TESTS}
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES} | tests
+    skipped = frozenset().union(*map(collected_by_pytest, tests.values()))
+    assert unread_public_names(sources, set(tests), skipped) == []
 
 
 def foreign_private_reads(source: str) -> list[str]:

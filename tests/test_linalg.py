@@ -49,20 +49,6 @@ class TestRing:
             BaseRing.prime_field(1)
         BaseRing.prime_field(2)
 
-    def test_euclidean_division(self):
-        for a in range(-20, 21):
-            for b in list(range(-7, 0)) + list(range(1, 8)):
-                q, r = Z.eucdiv(a, b)
-                assert a == q * b + r
-                assert r == 0 or abs(r) < abs(b)
-
-    def test_field_division_exact(self):
-        for a in range(5):
-            for b in range(1, 5):
-                q, r = F5.eucdiv(a, b)
-                assert r == 0
-                assert (q * b) % 5 == a % 5
-
 
 class TestSmith:
     def test_diag_2_3(self):
