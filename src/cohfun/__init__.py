@@ -25,9 +25,6 @@ from .modules import (
     free_presentation,
     hom_group,
     identity_mor,
-    is_epi,
-    is_iso,
-    is_mono,
     kernel_mor,
     render_group,
     zero_mor,
@@ -63,7 +60,6 @@ from .functors import (
     w_of,
     yoneda_embed,
     yoneda_mor,
-    zero_nat,
 )
 
 __version__ = "0.1.0"

@@ -173,15 +173,6 @@ def identity_nat(f: CoherentFunctor) -> NatMorphism:
     return NatMorphism(f, f, identity_mor(f.source_module), identity_mor(f.target_module))
 
 
-def zero_nat(f: CoherentFunctor, g: CoherentFunctor) -> NatMorphism:
-    return NatMorphism(
-        f,
-        g,
-        zero_mor(g.source_module, f.source_module),
-        zero_mor(g.target_module, f.target_module),
-    )
-
-
 def compose_nat(beta: NatMorphism, alpha: NatMorphism) -> NatMorphism:
     """beta after alpha."""
     if alpha.target != beta.source:

@@ -206,26 +206,13 @@ def cokernel_mor(phi: ModMorphism) -> tuple[FpModule, ModMorphism]:
     return c, ModMorphism(phi.target, c, Matrix.identity(phi.target.ring, phi.target.gens))
 
 
-def is_mono(phi: ModMorphism) -> bool:
-    return kernel_mor(phi)[0].is_zero
-
-
-def is_epi(phi: ModMorphism) -> bool:
-    return cokernel_mor(phi)[0].is_zero
-
-
-def is_iso(phi: ModMorphism) -> bool:
-    return is_mono(phi) and is_epi(phi)
-
-
 @dataclass(frozen=True, eq=False)
 class HomGroup:
     """Hom(source, target) as a finitely presented abelian group.
 
-    ``reps`` realizes each generator as a genuine morphism; ``coords``
-    and ``from_coords`` convert between morphisms and coordinate columns
-    (mutually inverse modulo the group's relations).  ``coords_all``
-    and ``induced`` express many morphisms at once.
+    ``coords`` and ``from_coords`` convert between morphisms and
+    coordinate columns (mutually inverse modulo the group's relations);
+    ``coords_all`` and ``induced`` express many morphisms at once.
 
     When ``coord_mat`` is set, the coordinates of a morphism are
     ``coord_mat @ vec(phi)``, one product.  ``hom_group`` sets it for
@@ -239,12 +226,6 @@ class HomGroup:
     group: FpModule
     gen_mat: Matrix  # vec'd generator matrices, one column per generator
     coord_mat: Matrix | None = None
-
-    @cached_property
-    def reps(self) -> tuple[ModMorphism, ...]:
-        """Each generator as a genuine morphism, built when first read."""
-        ident = Matrix.identity(self.source.ring, self.group.gens)
-        return tuple(self.from_coords(ident.col(j)) for j in range(self.group.gens))
 
     @cached_property
     def _solver(self) -> SnfResult:

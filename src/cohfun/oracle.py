@@ -5,9 +5,10 @@ modules are enumerated element by element, Hom sets by assigning
 generator images one at a time and pruning each partial assignment as
 soon as a relation's generators all have images, and group types are
 recovered by counting solutions of p^j * x == 0.  Hom(a, b) is the
-value at b of the functor presented by a -> 0.  Exactness of functor
-sequences is decided pointwise on a probe battery with exact two-sided
-subgroup membership.
+value at b of the functor presented by a -> 0.  Exactness is decided by
+one two-sided subgroup-membership test, ``_exact_at``: monomorphisms,
+isomorphisms, left exactness, and functor sequences pointwise on a
+probe battery all reduce to it.
 
 Random instance generation is seeded and splits its stream per case
 index, so runs are reproducible bit for bit.
@@ -42,8 +43,6 @@ from .modules import (
     direct_sum,
     hom_group,
     identity_mor,
-    is_iso,
-    is_mono,
     kernel_mor,
     zero_mor,
 )
@@ -73,7 +72,6 @@ from .functors import (
     w_of,
     yoneda_embed,
     yoneda_mor,
-    zero_nat,
 )
 from .formats import instance_payload
 
@@ -259,9 +257,7 @@ def _type_module(ring: BaseRing, order: int, factors: tuple[int, ...]) -> FpModu
 
 def brute_hom(a: FpModule, b: FpModule, cap: int = DEFAULT_ENUM_CAP) -> FpModule:
     """Hom(a, b), as brute_eval of Hom(a, -), the functor presented by a -> 0."""
-    zero = FpModule.zero(a.ring)
-    hom_a = CoherentFunctor(ModMorphism(a, zero, Matrix.zeros(a.ring, 0, a.gens)))
-    return brute_eval(hom_a, b, cap)
+    return brute_eval(yoneda_embed(a), b, cap)
 
 
 def brute_eval(f: CoherentFunctor, a: FpModule, cap: int = DEFAULT_ENUM_CAP) -> FpModule:
@@ -311,41 +307,10 @@ def _exact_at(
     return smith_normal_form(hstack(incoming, mid.rels)).contains(kernel)
 
 
-def check_exact(maps: list[NatMorphism], battery: ProbeBattery) -> CheckReport:
-    """Pointwise exactness at every interior position, on every probe."""
-    start = time.perf_counter()
-    for first, second in zip(maps, maps[1:]):
-        if first.target != second.source:
-            raise ValueError("complex maps are not composable")
-    failures = []
-    for pi, probe in enumerate(battery.probes):
-        comps = [evaluate_nat(m, probe) for m in maps]
-        for pos in range(len(maps) - 1):
-            mid = comps[pos].target
-            if not _exact_at(
-                mid, comps[pos].mat, comps[pos + 1].mat, comps[pos + 1].target.rels
-            ):
-                failures.append(
-                    {
-                        "probe": f"probe[{pi}]={probe.describe()}",
-                        "position": pos,
-                        "instance": instance_payload(list(maps)),
-                    }
-                )
-    return CheckReport(
-        name="exactness",
-        passed=not failures,
-        cases=len(battery.probes),
-        failures=tuple(failures),
-        seconds=time.perf_counter() - start,
-    )
-
-
-def padded_complex(maps: list[NatMorphism]) -> list[NatMorphism]:
-    """Close a complex with zero functors so ends are checked too."""
-    ring = maps[0].source.ring
-    z = yoneda_embed(FpModule.zero(ring))
-    return [zero_nat(z, maps[0].source)] + list(maps) + [zero_nat(maps[-1].target, z)]
+def _is_mono(phi: ModMorphism) -> bool:
+    """phi is mono: 0 -> source -> target is exact at the source."""
+    src = phi.source
+    return _exact_at(src, Matrix.zeros(src.ring, src.gens, 0), phi.mat, phi.target.rels)
 
 
 def module_sequence_exact(mors: list[ModMorphism]) -> bool:
@@ -356,6 +321,26 @@ def module_sequence_exact(mors: list[ModMorphism]) -> bool:
         if not _exact_at(first.target, first.mat, second.mat, second.target.rels):
             return False
     return True
+
+
+def check_exact(maps: list[NatMorphism], battery: ProbeBattery) -> CheckReport:
+    """Pointwise exactness of 0 -> F_0 -> ... -> F_n -> 0, on every probe."""
+    start = time.perf_counter()
+    for first, second in zip(maps, maps[1:]):
+        if first.target != second.source:
+            raise ValueError("complex maps are not composable")
+    failures = [
+        {"probe": f"probe[{pi}]={probe.describe()}", "instance": instance_payload(list(maps))}
+        for pi, probe in enumerate(battery.probes)
+        if not module_sequence_exact([evaluate_nat(m, probe) for m in maps])
+    ]
+    return CheckReport(
+        name="exactness",
+        passed=not failures,
+        cases=len(battery.probes),
+        failures=tuple(failures),
+        seconds=time.perf_counter() - start,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +469,18 @@ def random_finite_module(
 
 
 def _run(name: str, cases: int, body) -> CheckReport:
-    """Run a per-case body; a returned dict is a failure payload."""
+    """Run a per-case body; a returned dict is a failure payload.
+
+    An ``Exception`` raised by the body fails its case with an
+    ``error`` payload, so the later cases and reports still run.
+    """
     start = time.perf_counter()
     failures = []
     for idx in range(cases):
-        payload = body(idx)
+        try:
+            payload = body(idx)
+        except Exception as exc:
+            payload = {"error": f"{type(exc).__name__}: {exc}"}
         if payload is not None:
             payload["case"] = idx
             failures.append(payload)
@@ -786,7 +778,7 @@ def case_four_term(rng: random.Random, ring: BaseRing, battery: ProbeBattery):
     ft = four_term(f)
     if not w_of(ft.f0)[0].is_zero or not w_of(ft.f1)[0].is_zero:
         return {"instance": instance_payload(f), "reason": "w(F0) or w(F1) nonzero"}
-    rep = check_exact(padded_complex([ft.iota, ft.phi, ft.rho]), battery)
+    rep = check_exact([ft.iota, ft.phi, ft.rho], battery)
     if not rep.passed:
         return {"instance": instance_payload(f), "reason": "exactness"}
     return None
@@ -841,7 +833,7 @@ def case_vanishing(rng: random.Random, ring: BaseRing, battery: ProbeBattery):
     stable = is_inj_stable(f)
     if stable != wf.is_zero:
         return {"instance": instance_payload(f), "reason": "w-vs-stable"}
-    if stable != is_mono(f.pres):
+    if stable != _is_mono(f.pres):
         return {"instance": instance_payload(f), "reason": "mono-vs-stable"}
     if stable:
         st = inj_stabilize(f)
@@ -912,7 +904,7 @@ def case_equivalence(rng: random.Random, ring: BaseRing, battery: ProbeBattery):
             incl, proj = _random_module_ses(rng, ring, bounds)
             fi = evaluate_mor(f, incl)
             fp = evaluate_mor(f, proj)
-            if not is_mono(fi):
+            if not _is_mono(fi):
                 return {"instance": instance_payload(f), "reason": "not left exact (mono)"}
             if not _exact_at(fi.target, fi.mat, fp.mat, fp.target.rels):
                 return {"instance": instance_payload(f), "reason": "not left exact (middle)"}
@@ -956,7 +948,7 @@ def case_stabilization(rng: random.Random, ring: BaseRing, battery: ProbeBattery
     for n in (1, 2, 3):
         free = FpModule.free(ring, n)
         comp = evaluate_nat(counit, free)
-        if not is_iso(comp):
+        if not module_sequence_exact([comp]):
             return {"instance": instance_payload(f), "reason": f"counit not iso at rank {n}"}
         if not evaluate(proj_stabilize(f), free).is_zero:
             return {"instance": instance_payload(f), "reason": f"stabilization alive at rank {n}"}
@@ -972,7 +964,7 @@ def case_resolutions(rng: random.Random, ring: BaseRing, battery: ProbeBattery):
     for term in res.terms:
         if not is_injective_functor(term):
             return {"instance": instance_payload(f), "reason": "term not injective"}
-    rep = check_exact(padded_complex(list(res.maps)), battery)
+    rep = check_exact(list(res.maps), battery)
     if not rep.passed:
         return {"instance": instance_payload(f), "reason": "resolution not exact"}
     return None
@@ -984,7 +976,7 @@ def case_semisimple_collapse(rng: random.Random, ring: BaseRing, battery: ProbeB
         return {"instance": instance_payload(f), "reason": "not representable"}
     _, unit = r0_functor(f)
     for probe in battery.probes:
-        if not is_iso(evaluate_nat(unit, probe)):
+        if not module_sequence_exact([evaluate_nat(unit, probe)]):
             return {"instance": instance_payload(f), "reason": f"unit not iso at {probe.describe()}"}
     return None
 

@@ -13,10 +13,54 @@ memoized, so every call runs the elimination.
 ``prune`` is the package's pruning before it served only Hom over a
 field: it runs over either ring, and returns the pruned presentation
 with the two maps.
+
+``is_mono``, ``is_epi`` and ``is_iso`` are the package's tests before
+the oracle decided mono and iso by its exactness test: a kernel or a
+cokernel is zero.  ``reps`` is ``HomGroup.reps`` as it was, each
+generator of a Hom group as a morphism, and ``zero_nat`` is the zero
+transformation the package built to close complexes with zero functors.
 """
 
-from cohfun import BaseRing, FpModule, Matrix
+from cohfun import (
+    BaseRing,
+    CoherentFunctor,
+    FpModule,
+    HomGroup,
+    Matrix,
+    ModMorphism,
+    NatMorphism,
+    cokernel_mor,
+    kernel_mor,
+    zero_mor,
+)
 from cohfun.linalg import SnfResult, _matrix, hstack, kron, xgcd
+
+
+def is_mono(phi: ModMorphism) -> bool:
+    return kernel_mor(phi)[0].is_zero
+
+
+def is_epi(phi: ModMorphism) -> bool:
+    return cokernel_mor(phi)[0].is_zero
+
+
+def is_iso(phi: ModMorphism) -> bool:
+    return is_mono(phi) and is_epi(phi)
+
+
+def zero_nat(f: CoherentFunctor, g: CoherentFunctor) -> NatMorphism:
+    return NatMorphism(
+        f,
+        g,
+        zero_mor(g.source_module, f.source_module),
+        zero_mor(g.target_module, f.target_module),
+    )
+
+
+def reps(h: HomGroup) -> tuple[ModMorphism, ...]:
+    """Each generator of ``h.group`` as a genuine morphism."""
+    ident = Matrix.identity(h.source.ring, h.group.gens)
+    return tuple(h.from_coords(ident.col(j)) for j in range(h.group.gens))
 
 
 def tensor_module(a: FpModule, b: FpModule) -> FpModule:

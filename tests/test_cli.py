@@ -206,6 +206,18 @@ class TestCommands:
         assert code == 0
         assert all(line.startswith("PASS") for line in text.strip().splitlines())
 
+    def test_check_reports_a_crashing_case(self, monkeypatch):
+        def broken(rng, ring, battery):
+            raise RuntimeError("lost")
+
+        monkeypatch.setattr(oracle, "case_adjunction", broken)
+        code, text = run_cli(["--cases", "1", "check"])
+        assert code == 1
+        lines = text.splitlines()
+        assert "FAIL adjunction (cases=1)" in lines
+        assert '  counterexample: {"case": 0, "error": "RuntimeError: lost"}' in lines
+        assert lines[-1] == "PASS resolutions (cases=1)"
+
     def test_check_zero_cases_vacuous(self):
         code, text = run_cli(["--cases", "0", "check"])
         assert code == 0

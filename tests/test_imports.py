@@ -9,10 +9,11 @@ imports a private name from another module of the package.
 Every public top-level name of every module, and every member of a
 top-level class but its dunders (methods, properties, dataclass
 fields), is read somewhere in the package, apart from the exemptions
-in ``UNREAD_PUBLIC``.  An attribute ``x.name`` reads ``name`` wherever
-it appears; a bare ``name`` reads it only in a module that defines or
-imports ``name``, so a local variable that happens to share the name
-is not a reader.
+in ``UNREAD_PUBLIC``.  An attribute ``x.name`` whose receiver ``x``
+resolves to a class reads that class's member ``name`` only; one whose
+receiver does not resolve reads ``name`` wherever it appears.  A bare
+``name`` reads it only in a module that defines or imports ``name``,
+so a local variable that happens to share the name is not a reader.
 
 The same holds for the test suite: every public top-level helper or
 constant in ``tests/`` is read somewhere, apart from what pytest reads
@@ -20,6 +21,7 @@ itself (``test_*`` functions, ``Test*`` classes and fixtures).
 """
 
 import ast
+from collections import ChainMap
 from pathlib import Path
 
 import pytest
@@ -120,6 +122,206 @@ def class_members(cls: ast.ClassDef) -> dict[ast.AST, list[str]]:
     return members
 
 
+def annotated_type(ann: ast.AST | None, classes) -> str | tuple | None:
+    """The type an annotation names: one of ``classes``, or a tuple of types.
+
+    ``C``, ``"C"`` and ``C | None`` name the class C, ``tuple[A, B]``
+    names ``(A, B)``, and anything else names no type (None).
+    """
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        ann = ast.parse(ann.value, mode="eval").body
+    if isinstance(ann, ast.Name):
+        return ann.id if ann.id in classes else None
+    if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
+        sides = [s for s in (ann.left, ann.right) if not is_constant(s, None)]
+        return annotated_type(sides[0], classes) if len(sides) == 1 else None
+    if (
+        isinstance(ann, ast.Subscript)
+        and isinstance(ann.value, ast.Name)
+        and ann.value.id == "tuple"
+        and isinstance(ann.slice, ast.Tuple)
+        and not any(is_constant(e, Ellipsis) for e in ann.slice.elts)
+    ):
+        return tuple(annotated_type(e, classes) for e in ann.slice.elts)
+    return None
+
+
+def is_constant(node: ast.AST, value) -> bool:
+    return isinstance(node, ast.Constant) and node.value is value
+
+
+def class_table(trees) -> dict[str, dict[str, tuple[str | None, object]]]:
+    """Each top-level class's members, as name -> (how it is read, type).
+
+    A field, property or class attribute is read as a ``"value"`` of its
+    annotated type; a method is ``"call"``-ed and gives its return type.
+    """
+    defs = [node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)]
+    names = {node.name for node in defs}
+    table = {}
+    for cls in defs:
+        members = table.setdefault(cls.name, {})
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                members[node.target.id] = ("value", annotated_type(node.annotation, names))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators = {ast.unparse(d).split(".")[-1] for d in node.decorator_list}
+                how = "value" if decorators & {"property", "cached_property"} else "call"
+                members[node.name] = (how, annotated_type(node.returns, names))
+            elif isinstance(node, ast.Assign):
+                members |= {t.id: ("value", None) for t in node.targets if isinstance(t, ast.Name)}
+    return table
+
+
+def return_types(trees, classes) -> dict[str, object]:
+    """The annotated return type of each top-level function; None where names clash."""
+    found: dict[str, set] = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.setdefault(node.name, set()).add(annotated_type(node.returns, classes))
+    return {name: types.pop() if len(types) == 1 else None for name, types in found.items()}
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def scope_nodes(node: ast.AST):
+    """The nodes under ``node`` outside any nested function or class body."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, FUNCTIONS + (ast.ClassDef,)):
+            yield from scope_nodes(child)
+
+
+class Receivers:
+    """The class of each attribute's receiver in one module, where it resolves.
+
+    A receiver resolves through ``self`` (and ``cls``), an annotated
+    parameter, a class name, a field or property of a resolved
+    receiver, a call of a class or of a function or method with an
+    annotated return type, and a variable all of whose bindings in its
+    scope resolve, alike, through one of these.  A tuple display or a
+    ``tuple[...]`` annotation has a tuple type, whose elements tuple
+    unpacking and constant subscripts pick.
+    ``found`` maps the id of each resolved attribute node to its class.
+    """
+
+    def __init__(self, tree: ast.Module, bound: dict[str, str], classes, returns):
+        self.bound, self.classes, self.returns = bound, classes, returns
+        self.found: dict[int, str] = {}
+        self.visit(tree, self.scope(tree, ChainMap(), None))
+
+    def member(self, cls, attr: str) -> tuple[str | None, object]:
+        return self.classes[cls].get(attr, (None, None)) if isinstance(cls, str) else (None, None)
+
+    def type_of(self, expr: ast.AST, env: ChainMap):
+        if isinstance(expr, ast.Name):
+            if expr.id in env:
+                return env[expr.id]
+            name = self.bound.get(expr.id)
+            return name if name in self.classes else None
+        if isinstance(expr, ast.Attribute):
+            how, t = self.member(self.type_of(expr.value, env), expr.attr)
+            return t if how == "value" else None
+        if isinstance(expr, ast.Call):
+            func = expr.func
+            if isinstance(func, ast.Name) and func.id not in env:
+                name = self.bound.get(func.id)
+                return name if name in self.classes else self.returns.get(name)
+            if isinstance(func, ast.Attribute):
+                how, t = self.member(self.type_of(func.value, env), func.attr)
+                return t if how == "call" else None
+        if isinstance(expr, ast.Tuple):
+            return tuple(self.type_of(e, env) for e in expr.elts)
+        if isinstance(expr, ast.Subscript) and isinstance(expr.slice, ast.Constant):
+            t, i = self.type_of(expr.value, env), expr.slice.value
+            if isinstance(t, tuple) and isinstance(i, int) and -len(t) <= i < len(t):
+                return t[i]
+        return None
+
+    def scope(self, node: ast.AST, parent: ChainMap, cls: str | None) -> ChainMap:
+        """``parent`` with the variables ``node`` binds, each typed or None."""
+        declared: dict[str, set] = {}  # types bound without a value to resolve
+        values: dict[str, list] = {}  # (value, None) or (value, (index, width))
+
+        def declare(name: str, t) -> None:
+            declared.setdefault(name, set()).add(t)
+
+        if isinstance(node, FUNCTIONS):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            for arg in positional + args.kwonlyargs:
+                declare(arg.arg, annotated_type(arg.annotation, self.classes))
+            for arg in (args.vararg, args.kwarg):
+                if arg:
+                    declare(arg.arg, None)
+            decorators = getattr(node, "decorator_list", [])
+            if cls and positional and "staticmethod" not in map(ast.unparse, decorators):
+                declared[positional[0].arg] = {cls}
+        assigned = set()
+        for child in scope_nodes(node):
+            if isinstance(child, ast.Assign):
+                for target in child.targets:
+                    elts = target.elts if isinstance(target, (ast.Tuple, ast.List)) else None
+                    if isinstance(target, ast.Name):
+                        values.setdefault(target.id, []).append((child.value, None))
+                        assigned.add(id(target))
+                    elif elts and all(isinstance(e, ast.Name) for e in elts):
+                        for i, e in enumerate(elts):
+                            values.setdefault(e.id, []).append((child.value, (i, len(elts))))
+                            assigned.add(id(e))
+            elif isinstance(child, ast.AnnAssign) and isinstance(child.target, ast.Name):
+                declare(child.target.id, annotated_type(child.annotation, self.classes))
+                assigned.add(id(child.target))
+        for child in scope_nodes(node):
+            # loop, with, comprehension and walrus targets, and the like
+            if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Load):
+                if id(child) not in assigned:
+                    declare(child.id, None)
+            elif isinstance(child, (ast.Global, ast.Nonlocal)):
+                for name in child.names:
+                    declare(name, None)
+            elif isinstance(child, ast.ExceptHandler) and child.name:
+                declare(child.name, None)
+        names = declared.keys() | values.keys()
+        env = parent.new_child(dict.fromkeys(names))
+        for _ in range(len(names) + 1):
+            changed = False
+            for name in names:
+                types = declared.get(name, set()) | {
+                    self.value_type(value, pick, env) for value, pick in values.get(name, ())
+                }
+                t = types.pop() if len(types) == 1 else None
+                changed |= env.maps[0][name] != t
+                env.maps[0][name] = t
+            if not changed:
+                break
+        return env
+
+    def value_type(self, value: ast.AST, pick: tuple[int, int] | None, env: ChainMap):
+        """The type of ``value``, or of its element ``index`` when unpacked ``width`` ways."""
+        t = self.type_of(value, env)
+        if pick is None:
+            return t
+        i, width = pick
+        return t[i] if isinstance(t, tuple) and len(t) == width else None
+
+    def visit(self, node: ast.AST, env: ChainMap, cls: str | None = None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                self.visit(child, env, child.name if child.name in self.classes else None)
+            elif isinstance(child, FUNCTIONS):
+                method_of = cls if not isinstance(child, ast.Lambda) else None
+                self.visit(child, self.scope(child, env, method_of))
+            else:
+                if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                    t = self.type_of(child.value, env)
+                    if isinstance(t, str) and child.attr in self.classes[t]:
+                        self.found[id(child)] = t
+                self.visit(child, env, cls)
+
+
 def unread_public_names(
     sources: dict[str, str], checked: set[str], skipped: frozenset[str] = frozenset()
 ) -> list[str]:
@@ -130,25 +332,31 @@ def unread_public_names(
     properties, dataclass fields.  A top-level definition named in
     ``skipped`` is not checked, and neither are its members.
     ``sources`` maps file names to source text.  An attribute
-    ``x.name`` loaded in any of them reads ``name``.  A bare ``name``
-    reads it only in a module that defines ``name`` at top level or
-    imports it, so a local variable that shares a name defined
-    elsewhere reads nothing.  No definition reads itself.
+    ``x.name`` loaded in any of them reads the member ``name`` of x's
+    class where ``Receivers`` resolves x, and reads ``name`` otherwise.
+    A bare ``name`` reads it only in a module that defines ``name`` at
+    top level or imports it, so a local variable that shares a name
+    defined elsewhere reads nothing.  No definition reads itself.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}
-    reads: dict[str, set[int]] = {}
+    classes = class_table(trees.values())
+    returns = return_types(trees.values(), classes)
+    # keyed by name, or by (class, member) for a resolved receiver
+    reads: dict[str | tuple[str, str], set[int]] = {}
     for tree in trees.values():
         bound = {n: n for names in top_level_names(tree).values() for n in names}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 bound |= {a.asname or a.name: a.name for a in node.names}
+        receivers = Receivers(tree, bound, classes, returns).found
         for node in ast.walk(tree):
             if not isinstance(getattr(node, "ctx", None), ast.Load):
                 continue
             if isinstance(node, ast.Name) and node.id in bound:
                 reads.setdefault(bound[node.id], set()).add(id(node))
             elif isinstance(node, ast.Attribute):
-                reads.setdefault(node.attr, set()).add(id(node))
+                cls = receivers.get(id(node))
+                reads.setdefault((cls, node.attr) if cls else node.attr, set()).add(id(node))
     unread = []
     for name in checked:
         for node, names in top_level_names(trees[name]).items():
@@ -159,7 +367,12 @@ def unread_public_names(
                 defs |= class_members(node)
             for definition, bound_names in defs.items():
                 own = {id(n) for n in ast.walk(definition)}
-                unread += [n for n in bound_names if not reads.get(n, set()) - own]
+                owner = node.name if definition is not node else None
+                unread += [
+                    n
+                    for n in bound_names
+                    if not (reads.get(n, set()) | reads.get((owner, n), set())) - own
+                ]
     return sorted(unread)
 
 
@@ -179,6 +392,41 @@ def test_checker_ignores_a_local_that_shares_a_public_name():
     assert unread_public_names(sources, {"a.py"}) == ["vec"]
     sources["c.py"] = "from a import vec as flatten\nflatten(1)\n"
     assert unread_public_names(sources, {"a.py"}) == []
+
+
+RECEIVERS = (
+    "from dataclasses import dataclass\n"
+    "@dataclass\n"
+    "class Box:\n"
+    "    size: int\n"
+    "    def grow(self) -> 'Box':\n"
+    "        return Box(self.size + 1)\n"
+    "@dataclass\n"
+    "class Crate:\n"
+    "    size: int\n"
+    "    box: Box\n"
+    "    label: str\n"
+    "def pack() -> tuple[Box, Crate]:\n"
+    "    return Box(1), Crate(2, Box(0), 'c')\n"
+    "def ship(crate: Crate | None):\n"
+    "    _, spare = pack()\n"
+    "    return crate.box.grow(), spare.label\n"
+    "ship(None)\n"
+)
+
+
+def test_checker_resolves_receivers():
+    # self.size reads Box.size only; crate.box (an annotated parameter),
+    # .grow() on that field, and spare.label (unpacked from an annotated
+    # return) are each read through the class they resolve to
+    assert unread_public_names({"a.py": RECEIVERS}, {"a.py"}) == ["size"]
+
+
+def test_checker_counts_an_unresolved_receiver_by_name():
+    reader = "def weigh(thing):\n    return thing.size\n"
+    assert unread_public_names({"a.py": RECEIVERS + reader}, {"a.py"}) == ["weigh"]
+    rebound = "def weigh(crate: Crate):\n    crate = pack()\n    return crate.size\n"
+    assert unread_public_names({"a.py": RECEIVERS + rebound}, {"a.py"}) == ["weigh"]
 
 
 def test_checker_sees_an_unread_field_and_method():

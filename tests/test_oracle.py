@@ -31,23 +31,28 @@ from cohfun.oracle import (
     brute_hom,
     check_exact,
     default_battery,
-    padded_complex,
+    module_sequence_exact,
     random_finite_module,
     random_instance,
     random_functor,
     random_module,
+    random_morphism,
     verify_theorems,
     _divisor_chains,
     _enum_homs,
     _group_invariants,
+    _is_mono,
     _moduli,
     _run,
     _solvable,
     _stream,
 )
 from cohfun.cli import parse_workspace
+from reference import is_iso, is_mono, reps, zero_nat
 
 Z = BaseRing.integers()
+F2 = BaseRing.prime_field(2)
+F3 = BaseRing.prime_field(3)
 F5 = BaseRing.prime_field(5)
 
 
@@ -162,7 +167,7 @@ class TestBruteOverFields:
             checked += 1
             h = hom_group(a, b)
             assert canonical_form(h.group) == canonical_form(want)
-            coords = ModMorphism(h.group, h.group, h.coords_all(list(h.reps)))
+            coords = ModMorphism(h.group, h.group, h.coords_all(list(reps(h))))
             assert coords == identity_mor(h.group)
         assert checked >= 120
 
@@ -287,13 +292,16 @@ CHECKED = {
     "hom_group", "solve_matrix", "express", "preimage_lattice", "hermite_basis",
     "contains", "solve",  # the solver methods of SnfResult
 }
+# Imported from ``.functors`` but only written down, never computed: a
+# functor from its presentation, and Hom(x, -) presented by x -> 0.
+CONSTRUCTORS = {"CoherentFunctor", "yoneda_embed"}
 
 
 def checked_names_read(source: str) -> dict[str, set[str]]:
     """For each brute-force function in ``source``, the checked names it reads.
 
-    Checked are the names imported from ``.functors`` other than
-    ``CoherentFunctor``, and the solvers and Hom groups in CHECKED.
+    Checked are the names imported from ``.functors`` other than the
+    CONSTRUCTORS, and the solvers and Hom groups in CHECKED.
     """
     tree = ast.parse(source)
     from_functors = {
@@ -302,7 +310,7 @@ def checked_names_read(source: str) -> dict[str, set[str]]:
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "functors"
         for alias in node.names
     }
-    checked = (from_functors - {"CoherentFunctor"}) | CHECKED
+    checked = (from_functors - CONSTRUCTORS) | CHECKED
     found = {}
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name in BRUTE_FORCE:
@@ -317,14 +325,14 @@ class TestIndependence:
         found = checked_names_read(inspect.getsource(oracle))
         assert found == {name: set() for name in BRUTE_FORCE}
 
-    def test_checker_sees_a_yoneda_embed_call(self):
+    def test_checker_sees_an_evaluate_call(self):
         source = inspect.getsource(oracle)
         tree = ast.parse(source)
         brute_hom_node = next(
             n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "brute_hom"
         )
-        brute_hom_node.body = ast.parse("return brute_eval(yoneda_embed(a), b, cap)").body
-        assert checked_names_read(ast.unparse(tree))["brute_hom"] == {"yoneda_embed"}
+        brute_hom_node.body = ast.parse("return evaluate(yoneda_embed(a), b)").body
+        assert checked_names_read(ast.unparse(tree))["brute_hom"] == {"evaluate"}
 
 
 class TestCheckExact:
@@ -333,7 +341,7 @@ class TestCheckExact:
             ModMorphism(free(1), cyc(2), Matrix.from_rows(Z, [[1]]))
         )
         ft = four_term(f)
-        report = check_exact(padded_complex([ft.iota, ft.phi, ft.rho]), default_battery(Z))
+        report = check_exact([ft.iota, ft.phi, ft.rho], default_battery(Z))
         assert report.passed
 
     def test_corrupted_complex_fails_with_probe_named(self):
@@ -350,10 +358,18 @@ class TestCheckExact:
 
     def test_zero_complex_passes(self):
         z = yoneda_embed(free(0))
-        from cohfun.functors import zero_nat
-
         report = check_exact([zero_nat(z, z), zero_nat(z, z)], default_battery(Z))
         assert report.passed
+
+    def test_defect_at_an_end_fails(self):
+        # 0 -> F -0-> F -> 0 is exact at neither end wherever F is nonzero
+        f = CoherentFunctor(ModMorphism(free(1), free(1), Matrix.from_rows(Z, [[2]])))
+        battery = default_battery(Z)
+        report = check_exact([zero_nat(f, f)], battery)
+        alive = [p.describe() for p in battery.probes if not evaluate(f, p).is_zero]
+        assert alive and len(alive) < len(battery.probes)
+        assert [fail["probe"].split("=")[1] for fail in report.failures] == alive
+        assert not report.passed
 
     def test_noncomposable_rejected(self):
         from cohfun.functors import identity_nat
@@ -383,14 +399,31 @@ class TestCheckExact:
         iso_from = NatMorphism(source=padded, target=f, a=ix, b=iy)
         assert compose_nat(iso_from, iso_to) == identity_nat(f)
         assert compose_nat(iso_to, iso_from) == identity_nat(padded)
-        original = check_exact(padded_complex([ft.iota, ft.phi, ft.rho]), battery)
+        original = check_exact([ft.iota, ft.phi, ft.rho], battery)
         conjugated = check_exact(
-            padded_complex(
-                [compose_nat(iso_to, ft.iota), compose_nat(ft.phi, iso_from), ft.rho]
-            ),
-            battery,
+            [compose_nat(iso_to, ft.iota), compose_nat(ft.phi, iso_from), ft.rho], battery
         )
         assert original.passed and conjugated.passed
+
+
+class TestMonoAndIso:
+    """The oracle's exactness test agrees with kernel and cokernel being zero."""
+
+    @pytest.mark.parametrize("ring", [Z, F2, F3, F5], ids=str)
+    def test_agrees_with_the_reference(self, ring):
+        rng = _stream(0, "mono-iso", ring)
+        bounds = Bounds(gens=3, rels=3, entry=3)
+        seen = set()
+        for k in range(60):
+            a = random_module(rng, ring, bounds)
+            b = a if k % 2 else random_module(rng, ring, bounds)  # endomorphisms are often iso
+            phi = random_morphism(rng, a, b, bounds)
+            mono, iso = is_mono(phi), is_iso(phi)
+            assert _is_mono(phi) == mono
+            assert module_sequence_exact([phi]) == iso
+            if not (a.is_zero and b.is_zero):
+                seen |= {("mono", mono), ("iso", iso)}
+        assert seen == {("mono", True), ("mono", False), ("iso", True), ("iso", False)}
 
 
 class TestRandomInstances:
@@ -421,7 +454,7 @@ class TestRandomInstances:
         battery = ProbeBattery(probes=default_battery(Z).probes[:4])
         for seed in (0, 1, 2):
             incl, proj = random_instance("ses", seed)
-            assert check_exact(padded_complex([incl, proj]), battery).passed
+            assert check_exact([incl, proj], battery).passed
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -560,6 +593,26 @@ class TestReports:
         assert report.passed and report.note == "no cases"
         assert "no cases" in report.line()
 
+    def test_a_raising_case_fails_by_report(self, monkeypatch):
+        def broken(rng, ring, battery):
+            raise ZeroDivisionError("no inverse")
+
+        monkeypatch.setattr(oracle, "case_yoneda", broken)
+        reports = verify_theorems(ring=Z, seed=0, cases=2)
+        assert len(reports) == 17
+        assert [r.name for r in reports if not r.passed] == ["yoneda"]
+        failed = next(r for r in reports if r.name == "yoneda")
+        assert failed.failures == tuple(
+            {"error": "ZeroDivisionError: no inverse", "case": idx} for idx in range(2)
+        )
+
+    def test_an_interrupt_is_not_a_failure(self):
+        def interrupted(idx):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _run("interrupted", 1, interrupted)
+
     def test_failure_payload_is_rerunnable(self):
         f = random_instance("functor", 7)
         payload = instance_payload(f)
@@ -581,7 +634,7 @@ class TestReports:
 
         def zero_unit(f):
             r0, _ = real_r0(f)
-            return r0, oracle.zero_nat(f, r0)
+            return r0, zero_nat(f, r0)
 
         monkeypatch.setattr(oracle, "r0_functor", zero_unit)
         failed = 0
