@@ -181,7 +181,7 @@ def _battery_from_spec(ring: BaseRing, spec: str | None) -> oracle.ProbeBattery:
                     raise ValueError
             except ValueError:
                 raise WorkspaceError(f"--battery: bad item {s!r}") from None
-            total = direct_sum(total, part)[0]
+            total = direct_sum(total, part)
         probes.append(total)
     if not probes:
         raise WorkspaceError("--battery: no probes given")
@@ -245,21 +245,20 @@ def _l0(ws, args, out, battery) -> int:
     return 0
 
 
-def _stab_inj(ws, args, out, battery) -> int:
-    f = ws.functor(args.functor)
-    st = inj_stabilize(f)
-    out.write(f"stable({args.functor}) presented by {render_matrix(st.pres.mat)}\n")
-    out.write(f"injectively stable: {'true' if is_inj_stable(f) else 'false'}\n")
-    for probe in battery.probes:
-        out.write(f"at {probe.describe()}: {evaluate(st, probe).describe()}\n")
-    return 0
+# Per stabilization command: the functor, its stability test, the heading
+# of its presentation ({} is F's name), and the kind of stability.
+STABILIZATIONS = {
+    "stab-inj": (inj_stabilize, is_inj_stable, "stable({})", "injectively"),
+    "stab-proj": (proj_stabilize, is_proj_stable, "stabilization", "projectively"),
+}
 
 
-def _stab_proj(ws, args, out, battery) -> int:
+def _stab(ws, args, out, battery) -> int:
+    stabilize, is_stable, heading, kind = STABILIZATIONS[args.command]
     f = ws.functor(args.functor)
-    st = proj_stabilize(f)
-    out.write(f"stabilization presented by {render_matrix(st.pres.mat)}\n")
-    out.write(f"projectively stable: {'true' if is_proj_stable(f) else 'false'}\n")
+    st = stabilize(f)
+    out.write(f"{heading.format(args.functor)} presented by {render_matrix(st.pres.mat)}\n")
+    out.write(f"{kind} stable: {'true' if is_stable(f) else 'false'}\n")
     for probe in battery.probes:
         out.write(f"at {probe.describe()}: {evaluate(st, probe).describe()}\n")
     return 0
@@ -331,8 +330,8 @@ COMMANDS: dict[str, Command] = {
     "fourterm": Command(_fourterm, "the four-term exact sequence", ("functor",)),
     "r0": Command(_r0, "the representable reflection and its unit", ("functor",)),
     "l0": Command(_l0, "the tensor coreflection and its counit", ("functor",)),
-    "stab-inj": Command(_stab_inj, "the injective stabilization", ("functor",)),
-    "stab-proj": Command(_stab_proj, "the projective stabilization", ("functor",)),
+    "stab-inj": Command(_stab, "the injective stabilization", ("functor",)),
+    "stab-proj": Command(_stab, "the projective stabilization", ("functor",)),
     "resolve": Command(_resolve, "an injective resolution of length at most 2", ("functor",)),
     "is-rep": Command(_is_rep, "representability test", ("functor",)),
     "is-inj": Command(_is_inj, "injectivity test", ("functor",)),

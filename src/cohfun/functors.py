@@ -217,14 +217,10 @@ class NatGroup:
         return tuple(self.from_coords(ident.col(j)) for j in range(self.group.gens))
 
     def coords(self, alpha: NatMorphism) -> Matrix:
-        return self.coords_all([alpha])
-
-    def coords_all(self, alphas: list[NatMorphism]) -> Matrix:
-        """Coordinate columns of the transformations ``alphas``, side by side."""
-        for alpha in alphas:
-            if alpha.source != self.source or alpha.target != self.target:
-                raise ValueError("transformation does not belong to this Nat group")
-        return self.coords_from_hom(self.ev_x.hom_x.coords_all([alpha.a for alpha in alphas]))
+        """The coordinate column of the transformation ``alpha``."""
+        if alpha.source != self.source or alpha.target != self.target:
+            raise ValueError("transformation does not belong to this Nat group")
+        return self.coords_from_hom(self.ev_x.hom_x.coords_all([alpha.a]))
 
     def coords_from_hom(self, x: Matrix) -> Matrix:
         """Coordinates of the transformations whose a components have Hom coordinates ``x``."""

@@ -35,7 +35,6 @@ from .linalg import (
     smith_normal_form,
     unvec,
     vec,
-    vstack,
 )
 
 
@@ -378,22 +377,11 @@ def hom_group(a: FpModule, b: FpModule) -> HomGroup:
     return HomGroup(source=a, target=b, group=group, gen_mat=gen_mat, coord_mat=coord_mat)
 
 
-def direct_sum(
-    a: FpModule, b: FpModule
-) -> tuple[FpModule, ModMorphism, ModMorphism, ModMorphism, ModMorphism]:
-    """Biproduct with (inj_a, inj_b, proj_a, proj_b)."""
+def direct_sum(a: FpModule, b: FpModule) -> FpModule:
+    """The biproduct module a + b, presented by the block sum of the relations."""
     if a.ring != b.ring:
         raise ValueError("direct sum of modules over different rings")
-    ring = a.ring
-    s = FpModule(ring, a.gens + b.gens, block_diag(a.rels, b.rels))
-    za = Matrix.zeros(ring, a.gens, b.gens)
-    zb = Matrix.zeros(ring, b.gens, a.gens)
-    ia, ib = Matrix.identity(ring, a.gens), Matrix.identity(ring, b.gens)
-    inj_a = ModMorphism(a, s, vstack(ia, zb))
-    inj_b = ModMorphism(b, s, vstack(za, ib))
-    proj_a = ModMorphism(s, a, hstack(ia, za))
-    proj_b = ModMorphism(s, b, hstack(zb, ib))
-    return s, inj_a, inj_b, proj_a, proj_b
+    return FpModule(a.ring, a.gens + b.gens, block_diag(a.rels, b.rels))
 
 
 def free_presentation(a: FpModule) -> tuple[ModMorphism, ModMorphism]:

@@ -19,6 +19,8 @@ the oracle decided mono and iso by its exactness test: a kernel or a
 cokernel is zero.  ``reps`` is ``HomGroup.reps`` as it was, each
 generator of a Hom group as a morphism, and ``zero_nat`` is the zero
 transformation the package built to close complexes with zero functors.
+``biproduct`` is ``direct_sum`` as it was, with the two injections and
+the two projections that no package caller read.
 """
 
 from cohfun import (
@@ -30,10 +32,11 @@ from cohfun import (
     ModMorphism,
     NatMorphism,
     cokernel_mor,
+    direct_sum,
     kernel_mor,
     zero_mor,
 )
-from cohfun.linalg import SnfResult, _matrix, hstack, kron, xgcd
+from cohfun.linalg import SnfResult, _matrix, hstack, kron, vstack, xgcd
 
 
 def is_mono(phi: ModMorphism) -> bool:
@@ -61,6 +64,22 @@ def reps(h: HomGroup) -> tuple[ModMorphism, ...]:
     """Each generator of ``h.group`` as a genuine morphism."""
     ident = Matrix.identity(h.source.ring, h.group.gens)
     return tuple(h.from_coords(ident.col(j)) for j in range(h.group.gens))
+
+
+def biproduct(
+    a: FpModule, b: FpModule
+) -> tuple[FpModule, ModMorphism, ModMorphism, ModMorphism, ModMorphism]:
+    """``direct_sum(a, b)`` with (inj_a, inj_b, proj_a, proj_b)."""
+    ring = a.ring
+    s = direct_sum(a, b)
+    za = Matrix.zeros(ring, a.gens, b.gens)
+    zb = Matrix.zeros(ring, b.gens, a.gens)
+    ia, ib = Matrix.identity(ring, a.gens), Matrix.identity(ring, b.gens)
+    inj_a = ModMorphism(a, s, vstack(ia, zb))
+    inj_b = ModMorphism(b, s, vstack(za, ib))
+    proj_a = ModMorphism(s, a, hstack(ia, za))
+    proj_b = ModMorphism(s, b, hstack(zb, ib))
+    return s, inj_a, inj_b, proj_a, proj_b
 
 
 def tensor_module(a: FpModule, b: FpModule) -> FpModule:

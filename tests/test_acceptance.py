@@ -108,7 +108,7 @@ def test_criterion_02_hom_oracle():
             a = random_finite_module(rng, Z, max_order=36)
             b = random_finite_module(rng, Z, max_order=36)
             got = canonical_form(hom_group(a, b).group)
-            want = canonical_form(brute_hom(a, b, cap=60000))
+            want = brute_hom(a, b, cap=60000)
             assert got == want, (case, a.rels.to_lists(), b.rels.to_lists())
 
 

@@ -11,7 +11,6 @@ from cohfun import (
     cokernel_mor,
     compose_mor,
     compose_nat,
-    direct_sum,
     embed_injective,
     evaluate,
     evaluate_mor,
@@ -56,7 +55,7 @@ from cohfun.oracle import (
     _is_mono,
     _stream,
 )
-from reference import reps, tensor_module, zero_nat
+from reference import biproduct, reps, tensor_module, zero_nat
 
 Z = BaseRing.integers()
 F2 = BaseRing.prime_field(2)
@@ -157,7 +156,8 @@ class TestNatGroup:
 
 def lift_by_composing_reps(domain, codomain, target, along):
     """Reference for nat_lift: compose each generator of ``domain``, then solve."""
-    comp = codomain.coords_all([along(rep) for rep in domain.reps])
+    empty = Matrix.zeros(codomain.group.ring, codomain.group.gens, 0)
+    comp = hstack(empty, *(codomain.coords(along(rep)) for rep in domain.reps))
     return express(comp, codomain.group.rels, codomain.coords(target))
 
 
@@ -519,10 +519,10 @@ class TestKerCokerNat:
 def reference_ker_nat(alpha):
     """The kernel built from biproducts and cokernels, the reference for the closed form."""
     f, g = alpha.source, alpha.target
-    s1, i1, _, _, _ = direct_sum(f.source_module, g.target_module)
+    s1, i1, _, _, _ = biproduct(f.source_module, g.target_module)
     d, pi_d = cokernel_mor(ModMorphism(g.source_module, s1, vstack(alpha.a.mat, (-g.pres).mat)))
     j = compose_mor(pi_d, i1)
-    s2, k1, k2, _, _ = direct_sum(d, f.target_module)
+    s2, k1, k2, _, _ = biproduct(d, f.target_module)
     _, pi_e = cokernel_mor(ModMorphism(f.source_module, s2, vstack(j.mat, (-f.pres).mat)))
     ker = CoherentFunctor(compose_mor(pi_e, k1))
     return ker, NatMorphism(source=ker, target=f, a=j, b=compose_mor(pi_e, k2))
@@ -531,7 +531,7 @@ def reference_ker_nat(alpha):
 def reference_coker_nat(alpha):
     """The cokernel whose projection is the biproduct's second projection."""
     f, g = alpha.source, alpha.target
-    s, _, _, _, p2 = direct_sum(f.source_module, g.target_module)
+    s, _, _, _, p2 = biproduct(f.source_module, g.target_module)
     c = CoherentFunctor(ModMorphism(g.source_module, s, vstack(alpha.a.mat, g.pres.mat)))
     return c, NatMorphism(source=g, target=c, a=identity_mor(g.source_module), b=p2)
 
@@ -632,7 +632,7 @@ def two_step_embedding(f):
     d, pi_y = free_presentation(y)
     lam = express(pi_y.mat, y.rels, g.pres.mat)
     assert lam is not None
-    s, _, _, pr1, _ = direct_sum(p0, d.source)
+    s, _, _, pr1, _ = biproduct(p0, d.source)
     h = CoherentFunctor(ModMorphism(s, pi_y.source, hstack(lam, d.mat)))
     step2 = NatMorphism(source=g, target=h, a=pr1, b=pi_y)
     return h, compose_nat(step2, step1)

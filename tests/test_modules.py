@@ -62,8 +62,8 @@ class TestCanonicalForm:
 
     def test_rendering(self):
         assert free(0).describe() == "0"
-        s, *_ = direct_sum(free(1), cyc(2))
-        s2, *_ = direct_sum(s, cyc(6))
+        s = direct_sum(free(1), cyc(2))
+        s2 = direct_sum(s, cyc(6))
         assert s2.describe() == "Z^1 + Z/2 + Z/6"
         assert render_group(F5, 2, ()) == "Z/5 + Z/5"
 
@@ -212,9 +212,7 @@ class TestHom:
         for _ in range(40):
             a = random_finite_module(rng, Z, max_order=16)
             b = random_finite_module(rng, Z, max_order=16)
-            assert canonical_form(hom_group(a, b).group) == canonical_form(
-                brute_hom(a, b)
-            )
+            assert canonical_form(hom_group(a, b).group) == brute_hom(a, b)
 
 
 FIELDS = [BaseRing.prime_field(p) for p in (2, 3, 5, 7)]
@@ -449,17 +447,18 @@ class TestTensorSum:
             )
 
     def test_direct_sum_forms(self):
-        s, *_ = direct_sum(free(1), cyc(2))
+        s = direct_sum(free(1), cyc(2))
         assert canonical_form(s) == (1, (2,))
-        s2, *_ = direct_sum(cyc(2), cyc(3))
+        s2 = direct_sum(cyc(2), cyc(3))
         assert canonical_form(s2) == (0, (6,))
         a = cyc(12)
-        s3, *_ = direct_sum(a, free(0))
+        s3 = direct_sum(a, free(0))
         assert canonical_form(s3) == canonical_form(a)
 
     def test_biproduct_identities(self):
         a, b = cyc(4), free(2)
-        s, ia, ib, pa, pb = direct_sum(a, b)
+        s, ia, ib, pa, pb = reference.biproduct(a, b)
+        assert s == direct_sum(a, b)
         assert compose_mor(pa, ia) == identity_mor(a)
         assert compose_mor(pb, ib) == identity_mor(b)
         assert compose_mor(pa, ib) == zero_mor(b, a)
