@@ -83,7 +83,7 @@ def parse_workspace(text: str) -> Workspace:
     try:
         ring = ring_from_str(raw["ring"])
     except ValueError as exc:
-        raise WorkspaceError(str(exc)) from None
+        raise WorkspaceError(f"ring: {exc}") from None
     ws = Workspace(ring=ring)
 
     def section(key: str) -> dict:
@@ -114,11 +114,10 @@ def parse_workspace(text: str) -> Workspace:
         if type(gens) is not int or gens < 0:  # not isinstance: JSON true is a bool
             raise WorkspaceError(f"{where}.gens: expected a nonnegative integer")
         rels = matrix(spec["rels"], f"{where}.rels")
-        if rels.rows != gens:
-            raise WorkspaceError(
-                f"{where}: relation matrix has {rels.rows} rows for {gens} generators"
-            )
-        ws.modules[name] = FpModule(ring, gens, rels)
+        try:
+            ws.modules[name] = FpModule(ring, gens, rels)
+        except ValueError as exc:
+            raise WorkspaceError(f"{where}: {exc}") from None
 
     for name, spec in section("morphisms").items():
         where = f"morphisms.{name}"

@@ -7,7 +7,9 @@ assigning generator images one at a time and pruning each partial
 assignment as soon as a relation's generators all have images, and the
 brute force returns group types (rank, invariant factors) read off its
 counts of solutions of p^j * x == 0.  Hom(a, b) is the value at b of
-the functor presented by a -> 0.  Exactness is decided by one
+the functor presented by a -> 0.  The same divisors, from the
+oracle's own Bareiss minors, decide rank, solvability and whether a
+kernel basis generates the kernel.  Exactness is decided by one
 two-sided subgroup-membership test, ``_exact_at``: monomorphisms,
 isomorphisms, left exactness, and functor sequences pointwise on a
 probe battery all reduce to it.
@@ -144,21 +146,17 @@ def _moduli(module: FpModule, cap: int = DEFAULT_ENUM_CAP) -> tuple[int, ...]:
     """Coordinate moduli of a finite module (or F_p vector space).
 
     Its elements are the coordinate tuples in the box of these moduli.
-    Over Z they are the invariant factors D_k / D_(k-1), where D_k is
-    the gcd of the k x k minors of the relations (Smith's determinantal
-    divisors), so no Smith form is computed.
+    They are the invariant factors D_k / D_(k-1), where D_k is the gcd
+    of the k x k minors of the relations (Smith's determinantal
+    divisors), so no Smith form is computed; over F_p those are 1, and
+    each free coordinate has modulus p.
     """
     ring = module.ring
-    rank = _rank(module.rels)
-    if ring.is_field:
-        moduli = [1] * rank + [ring.p] * (module.gens - rank)
-    else:
-        if module.gens > rank:
-            raise ValueError(
-                f"cannot enumerate an infinite module (free rank {module.gens - rank})"
-            )
-        divisors = [math.gcd(*_minors(module.rels, k)) for k in range(rank + 1)]
-        moduli = [d // prev for prev, d in zip(divisors, divisors[1:])]
+    divisors = _divisors(module.rels)
+    free = module.gens - (len(divisors) - 1)
+    if free and not ring.is_field:
+        raise ValueError(f"cannot enumerate an infinite module (free rank {free})")
+    moduli = [d // prev for prev, d in zip(divisors, divisors[1:])] + [ring.p] * free
     order = math.prod(moduli)
     if order > cap:
         raise ValueError(f"module order {order} exceeds enumeration cap {cap}")
@@ -475,18 +473,10 @@ def _run(name: str, cases: int, body) -> CheckReport:
     )
 
 
-def det(m: Matrix) -> int:
-    """Exact determinant: Bareiss on the stored integers, reduced into the ring.
-
-    Over F_p the stored entries are representatives, and the integer
-    determinant reduced mod p is the field's determinant.
-    """
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return m.ring.normalize(1)
-    a = [list(row) for row in m.entries]
+def _bareiss(rows) -> int:
+    """Integer determinant of a square list of rows, by fraction-free elimination."""
+    n = len(rows)
+    a = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -501,21 +491,44 @@ def det(m: Matrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return m.ring.normalize(sign * a[n - 1][n - 1])
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def det(m: Matrix) -> int:
+    """Exact determinant: Bareiss on the stored integers, reduced into the ring.
+
+    Over F_p the stored entries are representatives, and the integer
+    determinant reduced mod p is the field's determinant.
+    """
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    return m.ring.normalize(_bareiss(m.entries))
 
 
 def _minors(m: Matrix, k: int) -> list[int]:
-    """Every k x k minor of m; the one 0 x 0 minor is 1."""
+    """Every k x k minor of m, reduced into the ring; the one 0 x 0 minor is 1."""
     return [
-        det(Matrix.from_rows(m.ring, [[m.entries[i][j] for j in cols] for i in rows], cols=k))
+        m.ring.normalize(_bareiss([[m.entries[i][j] for j in cols] for i in rows]))
         for rows in itertools.combinations(range(m.rows), k)
         for cols in itertools.combinations(range(m.cols), k)
     ]
 
 
-def _rank(m: Matrix) -> int:
-    """The largest k for which m has a nonzero k x k minor."""
-    return next(k for k in range(min(m.rows, m.cols), -1, -1) if any(_minors(m, k)))
+def _divisors(m: Matrix) -> list[int]:
+    """Smith's determinantal divisors [D_0 = 1, D_1, ..., D_rank] of m.
+
+    D_k is the gcd of the k x k minors.  The list stops before the first
+    zero D_k, since every larger minor vanishes with it (Laplace
+    expansion), so its length is rank + 1.  Over F_p a nonzero D_k is a
+    unit, written 1.
+    """
+    divisors = [1]
+    for k in range(1, min(m.rows, m.cols) + 1):
+        d = math.gcd(*_minors(m, k))
+        if not d:
+            break
+        divisors.append(1 if m.ring.is_field else d)
+    return divisors
 
 
 def _generates_kernel(m: Matrix, k: Matrix) -> bool:
@@ -527,7 +540,7 @@ def _generates_kernel(m: Matrix, k: Matrix) -> bool:
     saturated sublattice of full rank is the whole kernel (Smith's
     determinantal divisors).
     """
-    if not (m @ k).is_zero or k.cols != m.cols - _rank(m):
+    if not (m @ k).is_zero or k.cols != m.cols - (len(_divisors(m)) - 1):
         return False
     return m.ring.is_unit(math.gcd(*_minors(k, k.cols)))
 
@@ -555,69 +568,23 @@ def case_snf_contract(rng: random.Random, ring: BaseRing, battery: ProbeBattery)
     return None
 
 
-def _lattice_contains(columns: list[list[int]], b: list[int]) -> bool:
-    """Membership of b in the integer column lattice, by greedy reduction.
-
-    Independent of the Smith machinery: plain column echelon with gcd
-    steps, then division against the pivots.
-    """
-
-    def xgcd(a, b):
-        x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-        while ng:
-            q = g // ng
-            x, nx = nx, x - q * nx
-            y, ny = ny, y - q * ny
-            g, ng = ng, g - q * ng
-        return x, y, g
-
-    cols = [c[:] for c in columns if any(c)]
-    n = len(b)
-    # echelonize: pivot per row index
-    pivots: dict[int, list[int]] = {}
-    for vec in cols:
-        v = vec[:]
-        for i in range(n):
-            if not v[i]:
-                continue
-            if i not in pivots:
-                pivots[i] = v
-                v = None
-                break
-            w = pivots[i]
-            x, y, g = xgcd(w[i], v[i])
-            neww = [x * a + y * c2 for a, c2 in zip(w, v)]
-            newv = [(w[i] // g) * c2 - (v[i] // g) * a for a, c2 in zip(w, v)]
-            pivots[i] = neww
-            v = newv
-        # fully reduced vectors vanish
-    r = b[:]
-    for i in range(n):
-        if r[i]:
-            if i not in pivots:
-                return False
-            q, rem = divmod(r[i], pivots[i][i])
-            if rem:
-                return False
-            r = [a - q * c2 for a, c2 in zip(r, pivots[i])]
-    return all(x == 0 for x in r)
-
-
 def _solvable(m: Matrix, b: Matrix) -> bool:
-    """Whether m @ x == b has a solution, read from lattice membership.
+    """Whether m @ x == b has a solution, read from determinantal divisors.
 
-    Over F_p the lattice also holds p * e_1, ..., p * e_r, so that
-    membership is solvability modulo p.
+    It has one exactly when adjoining b to m keeps the span of the
+    columns.  Over F_p, where every D_k is 1, that is equal rank.  Over
+    Z the lattice L of m lies in the lattice L' of [m | b], and D_rank
+    depends only on the lattice (Cauchy-Binet), so at equal rank
+    D_rank(L) / D_rank(L') = [L' : L], and equal divisors mean L == L'.
     """
-    r = m.rows
-    cols = [[m.entries[i][j] for i in range(r)] for j in range(m.cols)]
-    if m.ring.is_field:
-        cols += [[m.ring.p * (i == k) for i in range(r)] for k in range(r)]
-    return _lattice_contains(cols, [row[0] for row in b.entries])
+    joined = Matrix.from_rows(
+        m.ring, [row + col for row, col in zip(m.entries, b.entries)], cols=m.cols + 1
+    )
+    return _divisors(joined) == _divisors(m)
 
 
 def case_solve_oracle(rng: random.Random, ring: BaseRing, battery: ProbeBattery):
-    """solve_matrix against lattice membership, and the kernel by minors.
+    """solve_matrix against determinantal divisors, and the kernel by minors.
 
     The kernel is ``preimage_lattice(m, 0)``, the path every kernel in
     the package takes.

@@ -269,6 +269,9 @@ class TestCommands:
                           "morphisms": {"f": {"source": ["A"], "target": "A", "mat": ONE}}},
              "morphisms.f.source"),
             (["w", "F"], {"ring": "Z", "functors": {"F": {"pres": ["x"]}}}, "functors.F.pres"),
+            (["w", "F"], {"ring": "Fp:4"}, "ring:"),
+            (["w", "F"], {"ring": "Fp:65537"}, "ring:"),
+            (["w", "F"], {"ring": "Q"}, "ring:"),
         ],
     )
     def test_bad_input_exit_2(self, argv, workspace, named, tmp_path, capsys):

@@ -26,7 +26,7 @@ from cohfun import (
 )
 from cohfun import oracle
 from cohfun.formats import instance_payload
-from cohfun.linalg import smith_normal_form
+from cohfun.linalg import smith_normal_form, solve_matrix
 from cohfun.modules import hom_group
 from cohfun.oracle import (
     Bounds,
@@ -43,6 +43,7 @@ from cohfun.oracle import (
     random_morphism,
     verify_theorems,
     _divisor_chains,
+    _divisors,
     _enum_homs,
     _group_invariants,
     _is_mono,
@@ -341,11 +342,36 @@ class TestModuli:
             assert _moduli(module) == smith_normal_form(module.rels).diag
 
 
+class TestDivisors:
+    """Determinantal divisors against the Smith diagonal, and solvability read off them."""
+
+    @pytest.mark.parametrize("ring", [Z, F2, F3, F5], ids=str)
+    def test_products_of_the_smith_diagonal(self, ring):
+        rng = _stream(0, "divisors", ring)
+        for _ in range(300):
+            m = random_module(rng, ring, Bounds(gens=5, rels=5, entry=6)).rels
+            diag = smith_normal_form(m).diag
+            want = [math.prod(diag[:k]) for k in range(len(diag) + 1)]
+            assert _divisors(m) == want, m.to_lists()
+
+    def test_solvable_agrees_with_solve_matrix(self):
+        rng = _stream(0, "solvable-z")
+        verdicts = []
+        for _ in range(400):
+            m = random_module(rng, Z, Bounds(gens=5, rels=5, entry=40)).rels
+            b = Matrix.column(Z, [rng.randrange(-40, 41) for _ in range(m.rows)])
+            verdicts.append(_solvable(m, b))
+            assert verdicts[-1] == (solve_matrix(m, b) is not None), (m.to_lists(), b.to_lists())
+            x = Matrix.column(Z, [rng.randrange(-40, 41) for _ in range(m.cols)])
+            assert _solvable(m, m @ x)
+        assert any(verdicts) and not all(verdicts)
+
+
 # The oracle's brute force, and what it may not read: the code it checks.
 BRUTE_FORCE = (
     "brute_hom", "brute_eval", "_enum_homs", "_moduli", "_combine",
-    "_group_invariants", "_lattice_contains",
-    "_solvable", "det", "_minors", "_rank", "_generates_kernel",
+    "_group_invariants", "_solvable", "det", "_bareiss", "_minors", "_divisors",
+    "_generates_kernel",
 )
 CHECKED = {
     "hom_group", "solve_matrix", "express", "preimage_lattice", "hermite_basis",
