@@ -8,11 +8,12 @@ arithmetic is arbitrary precision; Smith reduction is prone to
 intermediate coefficient growth, so fixed-width integers would be a
 correctness bug, not a performance tweak.
 
-One elimination routine serves both Smith forms and preimage lattices,
-and it carries only the witness rows its caller reads: all of u and v
-for ``smith_normal_form``, the kernel rows of v alone for
-``preimage_lattice``.  Both results are memoized per argument, and
-matrices cache their hash, so a repeated call costs one lookup.
+One elimination routine serves Smith forms, preimage lattices and
+Smith types, and it carries only the witness rows its caller reads: all
+of u and v for ``smith_normal_form``, the kernel rows of v alone for
+``preimage_lattice``, none for ``rank_and_divisor``.  The first two
+are memoized per argument, and matrices cache their hash, so a
+repeated call costs one lookup.
 
 Conventions shared by the whole package:
 
@@ -29,6 +30,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 
@@ -200,14 +202,6 @@ class Matrix:
                         acc[j] += a * orow[j]
             out.append(tuple(acc) if p is None else tuple(x % p for x in acc))
         return _matrix(self.ring, self.rows, other.cols, tuple(out))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        p = self.ring.p
-        rows = (tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries))
-        if p is not None:
-            rows = (tuple(x % p for x in row) for row in rows)
-        return _matrix(self.ring, self.rows, self.cols, tuple(rows))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
@@ -590,6 +584,23 @@ def smith_normal_form(m: Matrix) -> SnfResult:
         v=_matrix(ring, C, C, tuple(map(tuple, a[R:]))),
         diag=tuple(a[i][i] for i in range(rank)),
     )
+
+
+def rank_and_divisor(m: Matrix) -> tuple[int, int]:
+    """The rank r of m and |d_1 * ... * d_r|, the product of its Smith diagonal.
+
+    The product is Smith's determinantal divisor D_r, the gcd of the
+    r x r minors, and the order of the torsion of coker m; over F_p it is
+    1.  ``_eliminate`` runs with no witness rows, and its diagonal is
+    read without the divisibility repair: any diagonal matrix equivalent
+    to m has D_r as the product of its entries, up to sign.
+    """
+    a, rank = _eliminate(
+        m.ring.p, [list(row) for row in m.entries], m.cols, carry_u=False, v_rows=0
+    )
+    if m.ring.is_field:
+        return rank, 1
+    return rank, abs(math.prod(a[t][t] for t in range(rank)))
 
 
 def hermite_basis(m: Matrix) -> Matrix:

@@ -147,16 +147,9 @@ class ModMorphism:
 
     __hash__ = None  # semantic equality is coarser than the raw data
 
-    def __add__(self, other: "ModMorphism") -> "ModMorphism":
-        self._same_endpoints(other)
-        return ModMorphism(self.source, self.target, self.mat + other.mat)
-
     def __sub__(self, other: "ModMorphism") -> "ModMorphism":
         self._same_endpoints(other)
         return ModMorphism(self.source, self.target, self.mat - other.mat)
-
-    def __neg__(self) -> "ModMorphism":
-        return ModMorphism(self.source, self.target, -self.mat)
 
     @property
     def ring(self) -> BaseRing:

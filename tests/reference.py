@@ -21,6 +21,14 @@ generator of a Hom group as a morphism, and ``zero_nat`` is the zero
 transformation the package built to close complexes with zero functors.
 ``biproduct`` is ``direct_sum`` as it was, with the two injections and
 the two projections that no package caller read.
+
+``exact_at`` is the oracle's exactness test before it compared Smith
+types: image equals kernel inside the middle module, by two-sided
+generator membership, with the kernel a preimage lattice.
+``sequence_exact`` and ``check_exact_failures`` apply it as the
+oracle's ``module_sequence_exact`` and ``check_exact`` did, probe by
+probe.  ``add`` is the sum of two matrices or two morphisms, which the
+package no longer defines.
 """
 
 from cohfun import (
@@ -33,10 +41,52 @@ from cohfun import (
     NatMorphism,
     cokernel_mor,
     direct_sum,
+    evaluate_nat,
     kernel_mor,
+    linalg,
     zero_mor,
 )
+from cohfun.formats import instance_payload
 from cohfun.linalg import SnfResult, _matrix, hstack, kron, vstack, xgcd
+
+
+def add(x, y):
+    """x + y, for two matrices of one shape or two morphisms with the same ends."""
+    if isinstance(x, ModMorphism):
+        if x.source != y.source or x.target != y.target:
+            raise ValueError("morphism endpoints differ")
+        return ModMorphism(x.source, x.target, add(x.mat, y.mat))
+    if x.ring != y.ring or (x.rows, x.cols) != (y.rows, y.cols):
+        raise ValueError("matrices differ in ring or shape")
+    rows = tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(x.entries, y.entries))
+    return Matrix(x.ring, x.rows, x.cols, rows)
+
+
+def exact_at(mid: FpModule, incoming: Matrix, outgoing: Matrix, next_rels: Matrix) -> bool:
+    """image == kernel inside mid, by two-sided generator membership."""
+    if not linalg.smith_normal_form(next_rels).contains(outgoing @ incoming):
+        return False
+    kernel = linalg.preimage_lattice(outgoing, next_rels)
+    return linalg.smith_normal_form(hstack(incoming, mid.rels)).contains(kernel)
+
+
+def sequence_exact(mors: list[ModMorphism]) -> bool:
+    """Exactness of a sequence of modules, padded with zero at both ends."""
+    zero = FpModule.zero(mors[0].source.ring)
+    seq = [zero_mor(zero, mors[0].source), *mors, zero_mor(mors[-1].target, zero)]
+    return all(
+        exact_at(first.target, first.mat, second.mat, second.target.rels)
+        for first, second in zip(seq, seq[1:])
+    )
+
+
+def check_exact_failures(maps: list[NatMorphism], probes) -> list[dict]:
+    """The failure payloads of ``check_exact``: every probe evaluated and tested."""
+    return [
+        {"probe": f"probe[{pi}]={probe.describe()}", "instance": instance_payload(list(maps))}
+        for pi, probe in enumerate(probes)
+        if not sequence_exact([evaluate_nat(m, probe) for m in maps])
+    ]
 
 
 def is_mono(phi: ModMorphism) -> bool:

@@ -55,7 +55,7 @@ from cohfun.oracle import (
     _is_mono,
     _stream,
 )
-from reference import biproduct, reps, tensor_module, zero_nat
+from reference import add, biproduct, reps, tensor_module, zero_nat
 
 Z = BaseRing.integers()
 F2 = BaseRing.prime_field(2)
@@ -262,7 +262,7 @@ class TestNatMorphism:
         shifted = NatMorphism(
             source=f,
             target=f,
-            a=rep.a + compose_mor(zero_mor_like(rep), f.pres),
+            a=add(rep.a, compose_mor(zero_mor_like(rep), f.pres)),
             b=rep.b,
         )
         assert shifted == rep
@@ -520,10 +520,10 @@ def reference_ker_nat(alpha):
     """The kernel built from biproducts and cokernels, the reference for the closed form."""
     f, g = alpha.source, alpha.target
     s1, i1, _, _, _ = biproduct(f.source_module, g.target_module)
-    d, pi_d = cokernel_mor(ModMorphism(g.source_module, s1, vstack(alpha.a.mat, (-g.pres).mat)))
+    d, pi_d = cokernel_mor(ModMorphism(g.source_module, s1, vstack(alpha.a.mat, -g.pres.mat)))
     j = compose_mor(pi_d, i1)
     s2, k1, k2, _, _ = biproduct(d, f.target_module)
-    _, pi_e = cokernel_mor(ModMorphism(f.source_module, s2, vstack(j.mat, (-f.pres).mat)))
+    _, pi_e = cokernel_mor(ModMorphism(f.source_module, s2, vstack(j.mat, -f.pres.mat)))
     ker = CoherentFunctor(compose_mor(pi_e, k1))
     return ker, NatMorphism(source=ker, target=f, a=j, b=compose_mor(pi_e, k2))
 

@@ -18,10 +18,13 @@ from cohfun import (
     FpModule,
     Matrix,
     ModMorphism,
+    NatMorphism,
     canonical_form,
+    compose_mor,
     evaluate,
     four_term,
     identity_mor,
+    kernel_mor,
     yoneda_embed,
 )
 from cohfun import oracle
@@ -45,15 +48,26 @@ from cohfun.oracle import (
     _divisor_chains,
     _divisors,
     _enum_homs,
+    _exact_between,
     _group_invariants,
     _is_mono,
     _moduli,
     _run,
     _solvable,
     _stream,
+    _types,
 )
 from cohfun.cli import parse_workspace
-from reference import is_iso, is_mono, reps, zero_nat
+from reference import (
+    add,
+    check_exact_failures,
+    exact_at,
+    is_iso,
+    is_mono,
+    reps,
+    sequence_exact,
+    zero_nat,
+)
 
 Z = BaseRing.integers()
 F2 = BaseRing.prime_field(2)
@@ -513,6 +527,97 @@ class TestMonoAndIso:
         assert seen == {("mono", True), ("mono", False), ("iso", True), ("iso", False)}
 
 
+def scaled(m: ModMorphism, k: int) -> ModMorphism:
+    """k times m."""
+    return ModMorphism(m.source, m.target, m.mat @ Matrix.diagonal(m.ring, [k] * m.source.gens))
+
+
+def pairs_composing_to_zero(rng, ring, bounds):
+    """(f, g) with g f == 0: f is ker g after a random endomorphism of the kernel."""
+    b, c = random_module(rng, ring, bounds), random_module(rng, ring, bounds)
+    g = random_morphism(rng, b, c, bounds)
+    k, incl = kernel_mor(g)
+    return compose_mor(incl, random_morphism(rng, k, k, bounds)), g
+
+
+def unrelated_pairs(rng, ring, bounds):
+    a, b, c = (random_module(rng, ring, bounds) for _ in range(3))
+    return random_morphism(rng, a, b, bounds), random_morphism(rng, b, c, bounds)
+
+
+class TestExactnessByTypes:
+    """Smith types decide exactness as image == kernel by membership did."""
+
+    @pytest.mark.parametrize("ring", [Z, F2, F3, F5], ids=str)
+    @pytest.mark.parametrize(
+        "draw", [pairs_composing_to_zero, unrelated_pairs, oracle._random_module_ses],
+        ids=["zero-composite", "unrelated", "module-ses"],
+    )
+    def test_agrees_with_the_reference(self, ring, draw):
+        rng = _stream(0, "exact-by-types", ring, draw.__name__)
+        bounds = Bounds(gens=3, rels=3, entry=3)
+        seen = set()
+        for _ in range(150):
+            f, g = draw(rng, ring, bounds)
+            zeros = Matrix.zeros(ring, f.source.gens, 0)
+            middle = exact_at(f.target, f.mat, g.mat, g.target.rels)
+            assert _exact_between(f, g) == middle, instance_payload([f, g])
+            assert _is_mono(f) == exact_at(f.source, zeros, f.mat, f.target.rels)
+            assert module_sequence_exact([f, g]) == sequence_exact([f, g])
+            infinite = f.target.rank > 0 and not ring.is_field
+            # a failure where coker f and im g differ only in torsion order
+            torsion_only = not middle and _types(f)[0][0] == _types(g)[1][0]
+            seen.add((infinite, middle, torsion_only))
+        if draw is pairs_composing_to_zero:
+            verdicts = {(infinite, middle) for infinite, middle, _ in seen}
+            if ring == Z:
+                assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+                assert (True, False, True) in seen
+            else:
+                assert verdicts == {(False, False), (False, True)}
+
+    @pytest.mark.parametrize("ring", [Z, F5], ids=str)
+    def test_failure_lists_match_the_reference(self, ring):
+        # k phi is natural but, for k not a unit, no longer exact in general;
+        # over F5 only k = 5 (zero) breaks exactness
+        extra = [FpModule.zero(ring)]
+        if ring == Z:
+            extra = [
+                cyc(12),
+                FpModule(Z, 2, Matrix.from_rows(Z, [[6, 0], [0, 2]])),
+                FpModule(Z, 2, Matrix.from_rows(Z, [[0], [4]])),
+            ] + extra
+        battery = ProbeBattery(probes=default_battery(ring).probes + tuple(extra))
+        rng = _stream(0, "exact-failure-lists", ring)
+        failing = 0
+        for _ in range(12):
+            ft = four_term(random_functor(rng, ring, Bounds(gens=3, rels=3, entry=3)))
+            k = rng.randrange(2, 6)
+            phi = NatMorphism(ft.phi.source, ft.phi.target, scaled(ft.phi.a, k), scaled(ft.phi.b, k))
+            for maps in ([ft.iota, ft.phi, ft.rho], [ft.iota, phi, ft.rho]):
+                report = check_exact(maps, battery)
+                want = check_exact_failures(maps, battery.probes)
+                assert list(report.failures) == want
+                assert report.cases == len(battery.probes)
+                failing += bool(want)
+        assert 0 < failing < 24
+
+    def test_no_kernel_lattice_and_one_evaluation_per_summand(self, monkeypatch):
+        def refused(p, q):
+            raise AssertionError("check_exact reached preimage_lattice")
+
+        calls = []
+        real = oracle.evaluate_nat
+        monkeypatch.setattr(oracle, "preimage_lattice", refused)
+        monkeypatch.setattr(oracle, "evaluate_nat", lambda m, a: calls.append(a) or real(m, a))
+        f = CoherentFunctor(ModMorphism(free(1), cyc(2), Matrix.from_rows(Z, [[1]])))
+        for ring, summands in ((Z, 7), (F5, 1)):
+            ft = four_term(f if ring == Z else random_functor(_stream(0, "guard"), F5, Bounds()))
+            calls.clear()
+            assert check_exact([ft.iota, ft.phi, ft.rho], default_battery(ring)).passed
+            assert len(calls) == 3 * summands
+
+
 class TestRandomInstances:
     def test_reproducible(self):
         for kind in ("module", "morphism", "functor", "nat", "ses"):
@@ -599,7 +704,7 @@ class TestSolveOracle:
     def test_fails_on_a_scaled_kernel_basis(self, monkeypatch):
         # 2K lies in the kernel and has the right rank, but does not generate it
         real = oracle.preimage_lattice
-        monkeypatch.setattr(oracle, "preimage_lattice", lambda p, q: real(p, q) + real(p, q))
+        monkeypatch.setattr(oracle, "preimage_lattice", lambda p, q: add(real(p, q), real(p, q)))
         report = solve_oracle(Z)
         assert not report.passed
         assert all("basis" in failure for failure in report.failures)
@@ -622,7 +727,7 @@ class TestSolveOracle:
 
         def shifted(m, b):
             x = real(m, b)
-            return None if x is None else x + Matrix.from_rows(ring, [[1]] * x.rows, cols=1)
+            return None if x is None else add(x, Matrix.from_rows(ring, [[1]] * x.rows, cols=1))
 
         monkeypatch.setattr(oracle, "solve_matrix", shifted)
         report = solve_oracle(ring)
