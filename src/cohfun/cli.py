@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .linalg import BaseRing
-from .modules import FpModule, ModMorphism, direct_sum
+from .modules import FpModule, ModMorphism
 from .functors import (
     CoherentFunctor,
     NatMorphism,
@@ -44,6 +44,7 @@ from .formats import (
     WorkspaceError,
     instance_payload,
     matrix_from_obj,
+    probes_from_spec,
     render_matrix,
     ring_from_str,
 )
@@ -160,31 +161,10 @@ def parse_workspace(text: str) -> Workspace:
 def _battery_from_spec(ring: BaseRing, spec: str | None) -> oracle.ProbeBattery:
     if not spec:
         return oracle.default_battery(ring)
-    probes = []
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        total = FpModule.zero(ring)
-        for s in (s.strip() for s in item.split("+")):
-            if s.startswith("Z/") and ring.is_field:
-                raise WorkspaceError(f"--battery: item {s!r} is not defined over {ring}")
-            try:
-                if s == "Z":
-                    part = FpModule.free(ring, 1)
-                elif s.startswith("Z^"):
-                    part = FpModule.free(ring, int(s[2:]))
-                elif s.startswith("Z/"):
-                    part = FpModule.cyclic(ring, int(s[2:]))
-                else:
-                    raise ValueError
-            except ValueError:
-                raise WorkspaceError(f"--battery: bad item {s!r}") from None
-            total = direct_sum(total, part)
-        probes.append(total)
-    if not probes:
-        raise WorkspaceError("--battery: no probes given")
-    return oracle.ProbeBattery(probes=tuple(probes))
+    try:
+        return oracle.ProbeBattery(probes=probes_from_spec(ring, spec))
+    except ValueError as exc:
+        raise WorkspaceError(f"--battery: {exc}") from None
 
 
 def _print_exactness(maps, battery, out) -> bool:

@@ -1,12 +1,13 @@
 """Structured encodings shared by the CLI and the verification layer.
 
 Matrices travel as {"rows": r, "cols": c, "data": [...]} with row-major
-flat data, so zero-sized matrices keep their dimensions.  A
-``Workspace`` holds named modules, morphisms, functors and
-transformations over one ring: it is what a workspace file parses to,
-and instances added to one serialize into the small self-contained
-workspace dictionaries that are also the re-run format for failure
-payloads.
+flat data, so zero-sized matrices keep their dimensions.  Probe
+batteries, the ``--battery`` flag's and the defaults alike, are comma
+lists such as ``Z, Z/2, Z+Z/2``.  A ``Workspace`` holds named modules,
+morphisms, functors and transformations over one ring: it is what a
+workspace file parses to, and instances added to one serialize into
+the small self-contained workspace dictionaries that are also the
+re-run format for failure payloads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .linalg import BaseRing, Matrix
-from .modules import FpModule, ModMorphism
+from .modules import FpModule, ModMorphism, direct_sum
 from .functors import CoherentFunctor, NatMorphism
 
 
@@ -33,6 +34,30 @@ def ring_from_str(text: str) -> BaseRing:
             raise ValueError(f"bad ring {text!r}: expected Z or Fp:<prime>") from None
         return BaseRing.prime_field(p)
     raise ValueError(f"bad ring {text!r}: expected Z or Fp:<prime>")
+
+
+def probes_from_spec(ring: BaseRing, spec: str) -> tuple[FpModule, ...]:
+    """The probes a comma list names: ``Z`` is the ring, ``Z^n`` and ``Z/d``
+    its power and cyclic module, ``+`` sums them; ``Z/d`` is refused over F_p."""
+    probes = []
+    for item in filter(None, map(str.strip, spec.split(","))):
+        total = FpModule.zero(ring)
+        for s in (s.strip() for s in item.split("+")):
+            if s.startswith("Z/") and ring.is_field:
+                raise ValueError(f"item {s!r} is not defined over {ring}")
+            try:
+                if s == "Z":
+                    part = FpModule.free(ring, 1)
+                else:
+                    make = {"Z^": FpModule.free, "Z/": FpModule.cyclic}[s[:2]]
+                    part = make(ring, int(s[2:]))
+            except (KeyError, ValueError):
+                raise ValueError(f"bad item {s!r}") from None
+            total = direct_sum(total, part)
+        probes.append(total)
+    if not probes:
+        raise ValueError("no probes given")
+    return tuple(probes)
 
 
 def matrix_to_obj(m: Matrix) -> dict:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .linalg import Matrix, block_diag, express, hstack, smith_normal_form, vstack
+from .linalg import Matrix, block_diag, hstack, rank_and_divisor, solve_matrix, vstack
 from .modules import (
     FpModule,
     HomGroup,
@@ -199,9 +199,11 @@ class NatGroup:
 
     Elements are coordinate columns on ``group``'s generators; a
     generator's a component is the Hom(X_G, X_F) element picked out by
-    the kernel inclusion.  ``reps`` builds the generators as
-    transformations, for the ``nat`` command, the oracle's naturality
-    checks and tests; everything else stays in coordinates.
+    the kernel inclusion, a Hermite basis whose span holds G(X)'s
+    relations, so coordinates are solved for against it alone and are
+    unique.  ``reps`` builds the generators as transformations, for the
+    ``nat`` command, the oracle's naturality checks and tests;
+    everything else stays in coordinates.
     """
 
     source: CoherentFunctor
@@ -224,7 +226,7 @@ class NatGroup:
 
     def coords_from_hom(self, x: Matrix) -> Matrix:
         """Coordinates of the transformations whose a components have Hom coordinates ``x``."""
-        c = express(self.incl.mat, self.ev_x.module.rels, x)
+        c = solve_matrix(self.incl.mat, x)
         if c is None:
             raise ValueError("transformation escaped its Nat group; inconsistent data")
         return c
@@ -272,7 +274,8 @@ def nat_lift(
         post=None if pre is None else pre.a,
     )
     comp = codomain.coords_from_hom(hom @ domain.incl.mat)
-    return express(comp, codomain.group.rels, codomain.coords(target))
+    z = solve_matrix(hstack(comp, codomain.group.rels), codomain.coords(target))
+    return None if z is None else z.slice_rows(0, comp.cols)
 
 
 def w_of(f: CoherentFunctor) -> tuple[FpModule, ModMorphism]:
@@ -284,7 +287,7 @@ def w_mor(alpha: NatMorphism) -> ModMorphism:
     """Contravariant action: alpha : F -> G restricts a to w(G) -> w(F)."""
     wg, kg = w_of(alpha.target)
     wf, kf = w_of(alpha.source)
-    coeff = express(kf.mat, alpha.source.source_module.rels, alpha.a.mat @ kg.mat)
+    coeff = solve_matrix(kf.mat, alpha.a.mat @ kg.mat)
     if coeff is None:
         raise ValueError("kernel restriction failed; incompatible transformation")
     return ModMorphism(wg, wf, coeff)
@@ -439,14 +442,14 @@ def is_zero_functor(f: CoherentFunctor) -> bool:
     F is a quotient of (X, -), and the quotient map corresponds to
     [1_X]; F vanishes exactly when [1_X] dies in F(X), that is when
     1_X == h∘f for some h : Y -> X, which in turn forces every value to
-    vanish.  With X and Y both free, such an h exists iff f's Smith
-    diagonal has X.gens entries, all units: that is read off f's matrix
-    without building F(X).  Otherwise the class of 1_X is tested in F(X).
+    vanish.  With X and Y both free, such an h exists iff f has rank
+    X.gens and a unit Smith diagonal, which ``rank_and_divisor`` reads
+    off f's matrix without witnesses or F(X).  Otherwise the class of
+    1_X is tested in F(X).
     """
     x, y = f.source_module, f.target_module
     if x.rels.cols == 0 and y.rels.cols == 0:
-        diag = smith_normal_form(f.pres.mat).diag
-        return len(diag) == x.gens and all(f.ring.is_unit(d) for d in diag)
+        return rank_and_divisor(f.pres.mat) == (x.gens, 1)
     ev = _evaluation(f, x)
     return ev.is_zero_class(identity_mor(x))
 

@@ -696,17 +696,3 @@ def preimage_lattice(p: Matrix, q: Matrix) -> Matrix:
     a, rank = _eliminate(mod, a, p.cols + q.cols, carry_u=False, v_rows=p.cols)
     kernel = tuple(tuple(row[rank:]) for row in a[p.rows:])
     return hermite_basis(_matrix(p.ring, p.cols, p.cols + q.cols - rank, kernel))
-
-
-def express(gens: Matrix, rels: Matrix, target: Matrix) -> Matrix | None:
-    """Coefficients c with gens @ c == target modulo the span of rels.
-
-    Returns one choice of c (columns match target's), or None when the
-    target is not in the generated subgroup.
-    """
-    if gens.rows != target.rows or rels.rows != target.rows:
-        raise ValueError("incompatible matrices in express")
-    z = solve_matrix(hstack(gens, rels), target)
-    if z is None:
-        return None
-    return z.slice_rows(0, gens.cols)

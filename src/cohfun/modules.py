@@ -209,8 +209,9 @@ class HomGroup:
     When ``coord_mat`` is set, the coordinates of a morphism are
     ``coord_mat @ vec(phi)``, one product.  ``hom_group`` sets it for
     the groups it presents on free data: the identity over Z from a free
-    source, and kron(s_b, t_a^T) over a field.  Otherwise coordinates
-    are solved for against the target's relations.
+    source, and kron(s_b, t_a^T) over a field.  Otherwise ``gen_mat`` is
+    a Hermite basis whose span holds the relations, and coordinates are
+    the unique solution against it alone.
     """
 
     source: FpModule
@@ -221,9 +222,8 @@ class HomGroup:
 
     @cached_property
     def _solver(self) -> SnfResult:
-        """The solver for [gen_mat | target relations on vec'd matrices], built once."""
-        ident = Matrix.identity(self.source.ring, self.source.gens)
-        return smith_normal_form(hstack(self.gen_mat, kron(self.target.rels, ident)))
+        """The solver for ``gen_mat``, a basis whose span holds the relations, built once."""
+        return smith_normal_form(self.gen_mat)
 
     def _solve(self, vecs: Matrix) -> Matrix:
         """Coordinates of the vec'd morphism matrices in the columns of ``vecs``."""
@@ -232,7 +232,7 @@ class HomGroup:
         z = self._solver.solve(vecs)
         if z is None:
             raise ValueError("morphism is not generated; Hom group is inconsistent")
-        return z.slice_rows(0, self.gen_mat.cols)
+        return z
 
     def coords(self, phi: ModMorphism) -> Matrix:
         return self.coords_all([phi])
@@ -334,8 +334,8 @@ def hom_group(a: FpModule, b: FpModule) -> HomGroup:
     - Over Z from a free ``a``, Hom(Z^na, b) is b^na on the nose, and
       the coordinates of phi are vec(phi) itself.
     - Otherwise Hom(a, b) is the lattice of T with T @ rels_a in the span
-      of rels_b, modulo the T with columns in that span; coordinates
-      are solved for.
+      of rels_b, modulo the T with columns in that span; its Hermite
+      basis holds those, and coordinates are solved for against it alone.
     """
     if a.ring != b.ring:
         raise ValueError("Hom between modules over different rings")

@@ -29,6 +29,12 @@ generator membership, with the kernel a preimage lattice.
 oracle's ``module_sequence_exact`` and ``check_exact`` did, probe by
 probe.  ``add`` is the sum of two matrices or two morphisms, which the
 package no longer defines.
+
+``express`` is the package's coset solve before Hom, Nat and w(F)
+coordinates were solved against their bases alone: coefficients c with
+gens @ c == target modulo the span of rels, one Smith particular
+solution of [gens | rels].  ``hom_coords`` is ``HomGroup``'s solve as it
+was, on [gen_mat | kron(rels_target, I)] with the relation block cut off.
 """
 
 from cohfun import (
@@ -47,7 +53,7 @@ from cohfun import (
     zero_mor,
 )
 from cohfun.formats import instance_payload
-from cohfun.linalg import SnfResult, _matrix, hstack, kron, vstack, xgcd
+from cohfun.linalg import SnfResult, _matrix, hstack, kron, solve_matrix, vstack, xgcd
 
 
 def add(x, y):
@@ -60,6 +66,25 @@ def add(x, y):
         raise ValueError("matrices differ in ring or shape")
     rows = tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(x.entries, y.entries))
     return Matrix(x.ring, x.rows, x.cols, rows)
+
+
+def express(gens: Matrix, rels: Matrix, target: Matrix) -> Matrix | None:
+    """Coefficients c with gens @ c == target modulo the span of rels, or None."""
+    if gens.rows != target.rows or rels.rows != target.rows:
+        raise ValueError("incompatible matrices in express")
+    z = solve_matrix(hstack(gens, rels), target)
+    if z is None:
+        return None
+    return z.slice_rows(0, gens.cols)
+
+
+def hom_coords(h: HomGroup, vecs: Matrix) -> Matrix:
+    """Coordinates in ``h`` of the vec'd morphism matrices ``vecs``, solved on
+    [gen_mat | target relations on vec'd matrices]."""
+    ident = Matrix.identity(h.source.ring, h.source.gens)
+    z = express(h.gen_mat, kron(h.target.rels, ident), vecs)
+    assert z is not None
+    return z
 
 
 def exact_at(mid: FpModule, incoming: Matrix, outgoing: Matrix, next_rels: Matrix) -> bool:

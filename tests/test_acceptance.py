@@ -53,7 +53,7 @@ from cohfun.oracle import (
     w_mor,
     _stream,
 )
-from reference import tensor_module
+from reference import express, tensor_module
 
 Z = BaseRing.integers()
 F5 = BaseRing.prime_field(5)
@@ -273,7 +273,7 @@ def test_criterion_12_representability_trichotomy():
 def test_criterion_13_representables_projective():
     with criterion("criterion 13: representables lift through 100 random epis"):
         from cohfun import coker_nat, compose_nat
-        from cohfun.linalg import Matrix as M, express, hstack
+        from cohfun.linalg import Matrix as M, hstack
 
         rng = _stream(SEED, "acc-proj")
         bounds = Bounds(gens=3, rels=3, entry=3)

@@ -243,6 +243,22 @@ class TestCommands:
         assert "at Z^1: 0" in text and "at Z/4: 0" in text
         assert "Z/8" not in text
 
+    @pytest.mark.parametrize(
+        "ring, spec, message",
+        [
+            ("Z", "Z/abc", "bad item 'Z/abc'"),
+            ("Z", "Z^-1", "bad item 'Z^-1'"),
+            ("Z", "Z+Q", "bad item 'Q'"),
+            ("Z", " , ", "no probes given"),
+            ("Fp:5", "Z,Z/2", "item 'Z/2' is not defined over F5"),
+        ],
+        ids=["bad-order", "negative-power", "unknown-token", "empty", "cyclic-over-a-field"],
+    )
+    def test_battery_errors_name_the_item(self, ring, spec, message, capsys):
+        code, text = run_cli(["--ring", ring, "--battery", spec, "check"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: --battery: {message}\n"
+
     def test_global_and_subcommand_seed_agree(self):
         _, seed5 = run_cli(["random", "--kind", "functor", "--seed", "5"])
         _, global5 = run_cli(["--seed", "5", "random", "--kind", "functor"])

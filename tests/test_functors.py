@@ -42,7 +42,7 @@ from cohfun import (
 )
 from cohfun import functors as functors_module
 from cohfun.functors import NatMorphism, _evaluation, nat_lift
-from cohfun.linalg import express, hstack, vstack
+from cohfun.linalg import hstack, vstack
 from cohfun.oracle import (
     Bounds,
     check_exact,
@@ -55,7 +55,7 @@ from cohfun.oracle import (
     _is_mono,
     _stream,
 )
-from reference import add, biproduct, reps, tensor_module, zero_nat
+from reference import add, biproduct, express, reps, tensor_module, zero_nat
 
 Z = BaseRing.integers()
 F2 = BaseRing.prime_field(2)
@@ -152,6 +152,34 @@ class TestNatGroup:
         ng = nat_group(F_TENSOR2, yoneda_embed(free(1)))
         with pytest.raises(ValueError, match="escaped"):
             ng.coords_from_hom(Matrix.column(Z, [1]))
+
+
+class TestCoordinatesAgainstKernelBases:
+    def test_unique_solutions_agree_with_the_coset_solve(self):
+        """Nat coordinates and w(F) maps solved against a kernel's Hermite basis
+        alone give back the a components exactly, and differ from the Smith
+        particular solution against [basis | relations] by a relation.
+
+        The two solutions differ only when that Smith form pivots on a
+        relation column, which few draws make it do; this stream holds
+        draws where each of them does.
+        """
+        rng = _stream(12, "kernel-basis-coords")
+        nat_moved = w_moved = 0
+        for _ in range(100):
+            f, g = random_functor(rng, Z, Bounds()), random_functor(rng, Z, Bounds())
+            alpha = random_nat(rng, f, g, Bounds())
+            ng = nat_group(f, g)
+            x = ng.ev_x.hom_x.coords(alpha.a)
+            new, old = ng.coords(alpha), express(ng.incl.mat, ng.ev_x.module.rels, x)
+            assert ng.incl.mat @ new == x
+            assert ng.group.snf.contains(new - old)
+            nat_moved += new != old
+            (wg, kg), (wf, kf) = w_of(g), w_of(f)
+            old_w = express(kf.mat, f.source_module.rels, alpha.a.mat @ kg.mat)
+            assert w_mor(alpha) == ModMorphism(wg, wf, old_w)
+            w_moved += w_mor(alpha).mat != old_w
+        assert nat_moved and w_moved
 
 
 def lift_by_composing_reps(domain, codomain, target, along):
@@ -581,10 +609,19 @@ class TestFreeToFreeZeroTest:
     def test_split_mono_test_matches_the_evaluation(self, ring, monkeypatch):
         # reference: F == 0 iff the class of 1_X dies in F(X)
         rng = _stream(0, "free-zero", ring)
-        cases = []
+        draws = []
         for _ in range(150):
             x, y = rng.randrange(0, 4), rng.randrange(0, 5)
-            data = [[rng.randrange(-3, 4) for _ in range(x)] for _ in range(y)]
+            draws.append((x, [[rng.randrange(-3, 4) for _ in range(x)] for _ in range(y)]))
+        # named shapes: a unit and a non-unit diagonal, a rank deficit, a
+        # split tall matrix, and the 0 x n, n x 0 and 0 x 0 presentations
+        draws += [
+            (2, [[1, 0], [0, -1]]), (2, [[1, 0], [0, 6]]), (2, [[1, 2], [2, 4], [3, 6]]),
+            (2, [[1, 0], [0, 1], [5, 7]]), (3, []), (0, [[], [], []]), (0, []),
+        ]
+        cases = []
+        for x, data in draws:
+            y = len(data)
             mat = Matrix.from_rows(ring, data, cols=x)
             f = CoherentFunctor(ModMorphism(free(x, ring), free(y, ring), mat))
             ev = _evaluation(f, f.source_module)

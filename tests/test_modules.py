@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -21,7 +22,7 @@ from cohfun import (
     zero_mor,
 )
 from cohfun import modules
-from cohfun.linalg import express, hstack, kron, smith_normal_form, vec
+from cohfun.linalg import hstack, kron, smith_normal_form, vec
 from cohfun.modules import HomGroup, prune
 from cohfun.oracle import (
     Bounds,
@@ -33,7 +34,7 @@ from cohfun.oracle import (
     _stream,
 )
 import reference
-from reference import add, is_epi, reps, tensor_module
+from reference import add, express, hom_coords, is_epi, reps, tensor_module
 
 Z = BaseRing.integers()
 F5 = BaseRing.prime_field(5)
@@ -255,14 +256,6 @@ class TestPrune:
             assert prune(a.rels) == (Matrix.identity(ring, a.gens),) * 2
 
 
-def solver_coords(h, vecs):
-    """The reference: solve on [gen_mat | target relations on vec'd matrices]."""
-    ident = Matrix.identity(h.source.ring, h.source.gens)
-    z = smith_normal_form(hstack(h.gen_mat, kron(h.target.rels, ident))).solve(vecs)
-    assert z is not None
-    return z.slice_rows(0, h.gen_mat.cols)
-
-
 def random_matrix(rng, ring, rows, cols, entry=9):
     data = [[rng.randrange(-entry, entry + 1) for _ in range(cols)] for _ in range(rows)]
     return Matrix.from_rows(ring, data, cols=cols)
@@ -292,12 +285,12 @@ class TestHomCoordinatesByProduct:
                 for _ in range(3)
             ]
             vecs = vecs_of(Z, phis, h.gen_mat.rows)
-            assert h.coords_all(phis) == vecs == solver_coords(h, vecs)
+            assert h.coords_all(phis) == vecs == hom_coords(h, vecs)
             b2 = random_module(rng, Z, Bounds())
             post = shifted(rng, random_morphism(rng, b, b2, Bounds()))
             into = hom_group(a, b2)
             images = kron(post.mat, Matrix.identity(Z, a.gens)) @ h.gen_mat
-            assert into.induced(h, post=post) == images == solver_coords(into, images)
+            assert into.induced(h, post=post) == images == hom_coords(into, images)
             assert "_solver" not in vars(h) and "_solver" not in vars(into)
 
     @pytest.mark.parametrize("ring", [BaseRing.prime_field(p) for p in (2, 5, 7)], ids=str)
@@ -308,11 +301,11 @@ class TestHomCoordinatesByProduct:
             h = hom_group(a, b)
             phis = [shifted(rng, random_morphism(rng, a, b, Bounds())) for _ in range(3)]
             vecs = vecs_of(ring, phis, h.gen_mat.rows)
-            assert h.coords_all(phis) == solver_coords(h, vecs)
+            assert h.coords_all(phis) == hom_coords(h, vecs)
             pre = shifted(rng, random_morphism(rng, a2, a, Bounds()))
             into = hom_group(a2, b)
             images = kron(Matrix.identity(ring, b.gens), pre.mat.transpose()) @ h.gen_mat
-            assert into.induced(h, pre=pre) == solver_coords(into, images)
+            assert into.induced(h, pre=pre) == hom_coords(into, images)
             assert "_solver" not in vars(h) and "_solver" not in vars(into)
 
     def test_hom_from_a_module_with_relations_over_z_solves(self):
@@ -320,6 +313,42 @@ class TestHomCoordinatesByProduct:
         assert h.coord_mat is None
         h.coords(reps(h)[0])
         assert "_solver" in vars(h)
+
+    def test_the_solver_reads_the_generator_basis_alone(self, monkeypatch):
+        # no relation block beside gen_mat: its Hermite basis spans the relations
+        seen = []
+        snf = smith_normal_form
+        monkeypatch.setattr(modules, "smith_normal_form", lambda m: seen.append(m) or snf(m))
+        rng = _stream(0, "solver-columns")
+        for _ in range(20):
+            a, b = random_module(rng, Z, Bounds()), random_module(rng, Z, Bounds())
+            if a.rels.cols == 0:
+                continue
+            h = dataclasses.replace(hom_group(a, b))  # a copy with no cached solver
+            h.coords(random_morphism(rng, a, b, Bounds()))
+            assert seen[-1].cols == h.gen_mat.cols and seen[-1] == h.gen_mat
+        assert seen
+
+
+class TestHomCoordinatesAgainstTheBasis:
+    def test_unique_coordinates_agree_with_the_coset_solve(self):
+        """Over Z from a module with relations, the coordinates solved against
+        gen_mat alone give back the morphisms exactly, and differ from the
+        Smith particular solution of [gen_mat | relations] by a relation."""
+        rng = _stream(0, "hom-basis-coords")
+        moved = 0
+        for _ in range(200):
+            a, b = random_module(rng, Z, Bounds()), random_module(rng, Z, Bounds())
+            if a.rels.cols == 0:
+                continue
+            h = hom_group(a, b)
+            phis = [shifted(rng, random_morphism(rng, a, b, Bounds())) for _ in range(3)]
+            vecs = vecs_of(Z, phis, h.gen_mat.rows)
+            new, old = h.coords_all(phis), hom_coords(h, vecs)
+            assert h.gen_mat @ new == vecs
+            assert h.group.snf.contains(new - old)
+            moved += new != old
+        assert moved
 
 
 class TestPrunedOncePerModule:

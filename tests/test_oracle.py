@@ -97,6 +97,17 @@ class TestBattery:
         battery = default_battery(BaseRing.prime_field(5))
         assert [p.gens for p in battery.probes] == [1, 2, 3]
 
+    @pytest.mark.parametrize("ring", [Z, BaseRing.prime_field(5), BaseRing.prime_field(2)], ids=str)
+    def test_defaults_are_the_documented_specs(self, ring):
+        # the hand-built probes the specs replaced, presentation for presentation
+        if ring.is_field:
+            probes = tuple(FpModule.free(ring, n) for n in (1, 2, 3))
+        else:
+            z_sum_c2 = FpModule(ring, 2, Matrix.from_rows(ring, [[0], [2]]))
+            cyclic = [FpModule.cyclic(ring, d) for d in (2, 3, 4, 6, 8, 9)]
+            probes = (FpModule.free(ring, 1), *cyclic[:4], z_sum_c2, *cyclic[4:])
+        assert default_battery(ring).probes == probes
+
 
 class TestBruteEval:
     def test_tensor_at_z4(self):
@@ -388,7 +399,7 @@ BRUTE_FORCE = (
     "_generates_kernel",
 )
 CHECKED = {
-    "hom_group", "solve_matrix", "express", "preimage_lattice", "hermite_basis",
+    "hom_group", "solve_matrix", "preimage_lattice", "hermite_basis",
     "smith_normal_form",
     "contains", "solve",  # the solver methods of SnfResult
     "snf", "invariant_factors", "canonical_form",  # a module's Smith form, read as data
