@@ -1,10 +1,10 @@
 """Command line front end.
 
 A workspace is one self-contained JSON file declaring the ring and named
-modules, morphisms, functors and transformations; every command reads
-the workspace, runs one operation, and prints a deterministic report
-(canonical group strings, explicit witness matrices).  Timing goes to
-stderr so stdout is byte-stable across runs.
+modules, morphisms, functors and transformations; ``formats`` reads it.
+Every command runs one operation on the workspace and prints a
+deterministic report (canonical group strings, explicit witness
+matrices).  Timing goes to stderr so stdout is byte-stable across runs.
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 input error.
 """
@@ -19,10 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .linalg import BaseRing
-from .modules import FpModule, ModMorphism
+from .modules import FpModule
 from .functors import (
-    CoherentFunctor,
-    NatMorphism,
     evaluate,
     four_term,
     injective_resolution,
@@ -43,119 +41,11 @@ from .formats import (
     Workspace,
     WorkspaceError,
     instance_payload,
-    matrix_from_obj,
+    parse_workspace,
     probes_from_spec,
     render_matrix,
     ring_from_str,
 )
-
-
-def _no_duplicates(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise WorkspaceError(f"duplicate name {key!r}")
-        seen[key] = value
-    return seen
-
-
-def parse_workspace(text: str) -> Workspace:
-    """Parse and fully validate one workspace file."""
-    try:
-        raw = json.loads(text, object_pairs_hook=_no_duplicates)
-    except json.JSONDecodeError as exc:
-        raise WorkspaceError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    except WorkspaceError:
-        raise
-    except (ValueError, RecursionError) as exc:
-        # nesting too deep to decode, or an integer literal too long to convert
-        raise WorkspaceError(f"unreadable workspace: {exc}") from None
-    if not isinstance(raw, dict):
-        raise WorkspaceError("workspace must be a JSON object")
-    unknown = set(raw) - {"ring", "modules", "morphisms", "functors", "nats"}
-    if unknown:
-        raise WorkspaceError(f"unknown top-level fields {sorted(unknown)}")
-    if "ring" not in raw:
-        raise WorkspaceError("workspace is missing the ring declaration")
-    if not isinstance(raw["ring"], str):
-        raise WorkspaceError("ring: expected a string such as Z or Fp:5")
-    try:
-        ring = ring_from_str(raw["ring"])
-    except ValueError as exc:
-        raise WorkspaceError(f"ring: {exc}") from None
-    ws = Workspace(ring=ring)
-
-    def section(key: str) -> dict:
-        value = raw.get(key, {})
-        if not isinstance(value, dict):
-            raise WorkspaceError(f"{key}: expected an object of named entries")
-        return value
-
-    def ref(spec: dict, key: str, table: dict, kind: str, where: str):
-        name = spec[key]
-        if not isinstance(name, str):
-            raise WorkspaceError(f"{where}.{key}: expected a {kind} name")
-        if name not in table:
-            raise WorkspaceError(f"{where}.{key}: unknown {kind} {name!r}")
-        return table[name]
-
-    def matrix(obj, where: str):
-        try:
-            return matrix_from_obj(ring, obj, where=where)
-        except ValueError as exc:
-            raise WorkspaceError(str(exc)) from None
-
-    for name, spec in section("modules").items():
-        where = f"modules.{name}"
-        if not isinstance(spec, dict) or set(spec) != {"gens", "rels"}:
-            raise WorkspaceError(f"{where}: expected fields gens, rels")
-        gens = spec["gens"]
-        if type(gens) is not int or gens < 0:  # not isinstance: JSON true is a bool
-            raise WorkspaceError(f"{where}.gens: expected a nonnegative integer")
-        rels = matrix(spec["rels"], f"{where}.rels")
-        try:
-            ws.modules[name] = FpModule(ring, gens, rels)
-        except ValueError as exc:
-            raise WorkspaceError(f"{where}: {exc}") from None
-
-    for name, spec in section("morphisms").items():
-        where = f"morphisms.{name}"
-        if not isinstance(spec, dict) or set(spec) != {"source", "target", "mat"}:
-            raise WorkspaceError(f"{where}: expected fields source, target, mat")
-        src = ref(spec, "source", ws.modules, "module", where)
-        tgt = ref(spec, "target", ws.modules, "module", where)
-        mat = matrix(spec["mat"], f"{where}.mat")
-        try:
-            ws.morphisms[name] = ModMorphism(src, tgt, mat)
-        except ValueError as exc:
-            raise WorkspaceError(f"{where}: {exc}") from None
-
-    for name, spec in section("functors").items():
-        where = f"functors.{name}"
-        if not isinstance(spec, dict) or set(spec) != {"pres"}:
-            raise WorkspaceError(f"{where}: expected field pres")
-        ws.functors[name] = CoherentFunctor(ref(spec, "pres", ws.morphisms, "morphism", where))
-
-    for name, spec in section("nats").items():
-        where = f"nats.{name}"
-        if not isinstance(spec, dict) or set(spec) != {"source", "target", "a", "b"}:
-            raise WorkspaceError(f"{where}: expected fields source, target, a, b")
-        src = ref(spec, "source", ws.functors, "functor", where)
-        tgt = ref(spec, "target", ws.functors, "functor", where)
-        a = matrix(spec["a"], f"{where}.a")
-        b = matrix(spec["b"], f"{where}.b")
-        try:
-            ws.nats[name] = NatMorphism(
-                source=src,
-                target=tgt,
-                a=ModMorphism(tgt.source_module, src.source_module, a),
-                b=ModMorphism(tgt.target_module, src.target_module, b),
-            )
-        except ValueError as exc:
-            raise WorkspaceError(f"{where}: {exc}") from None
-    return ws
 
 
 def _battery_from_spec(ring: BaseRing, spec: str | None) -> oracle.ProbeBattery:

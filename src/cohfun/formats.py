@@ -1,22 +1,44 @@
-"""Structured encodings shared by the CLI and the verification layer.
+"""The workspace format, read and written, and the encodings it shares.
 
 Matrices travel as {"rows": r, "cols": c, "data": [...]} with row-major
 flat data, so zero-sized matrices keep their dimensions.  Probe
 batteries, the ``--battery`` flag's and the defaults alike, are comma
 lists such as ``Z, Z/2, Z+Z/2``.  A ``Workspace`` holds named modules,
-morphisms, functors and transformations over one ring: it is what a
-workspace file parses to, and instances added to one serialize into
-the small self-contained workspace dictionaries that are also the
-re-run format for failure payloads.
+morphisms, functors and transformations over one ring.
+``parse_workspace`` reads one from a workspace file, checking each
+section's entries against ``FIELDS``; instances added to one serialize
+through ``to_dict`` into the small self-contained workspace dictionaries
+that are also the re-run format for failure payloads.  Matrix
+dimensions and free probe ranks above ``MAX_DIM`` are refused before
+anything is allocated.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 from .linalg import BaseRing, Matrix
 from .modules import FpModule, ModMorphism, direct_sum
 from .functors import CoherentFunctor, NatMorphism
+
+
+# The largest matrix dimension or free probe rank read from outside: the
+# bound BaseRing puts on a prime.
+MAX_DIM = 2 ** 16
+
+# Each section's entry fields, in the order error messages list them.
+# Sections are read in this order, so names refer to earlier sections.
+FIELDS = {
+    "modules": ("gens", "rels"),
+    "morphisms": ("source", "target", "mat"),
+    "functors": ("pres",),
+    "nats": ("source", "target", "a", "b"),
+}
+
+
+class WorkspaceError(ValueError):
+    """Input problem; maps to exit code 2 and names the offending field."""
 
 
 def ring_to_str(ring: BaseRing) -> str:
@@ -38,21 +60,22 @@ def ring_from_str(text: str) -> BaseRing:
 
 def probes_from_spec(ring: BaseRing, spec: str) -> tuple[FpModule, ...]:
     """The probes a comma list names: ``Z`` is the ring, ``Z^n`` and ``Z/d``
-    its power and cyclic module, ``+`` sums them; ``Z/d`` is refused over F_p."""
+    its power and cyclic module, ``+`` sums them; ``Z/d`` is refused over
+    F_p, and ``Z^n`` for n above ``MAX_DIM``."""
     probes = []
     for item in filter(None, map(str.strip, spec.split(","))):
         total = FpModule.zero(ring)
         for s in (s.strip() for s in item.split("+")):
             if s.startswith("Z/") and ring.is_field:
                 raise ValueError(f"item {s!r} is not defined over {ring}")
+            head, n = ("Z^", "1") if s == "Z" else (s[:2], s[2:])
             try:
-                if s == "Z":
-                    part = FpModule.free(ring, 1)
-                else:
-                    make = {"Z^": FpModule.free, "Z/": FpModule.cyclic}[s[:2]]
-                    part = make(ring, int(s[2:]))
+                make, n = {"Z^": FpModule.free, "Z/": FpModule.cyclic}[head], int(n)
+                part = make(ring, n) if head == "Z/" or n <= MAX_DIM else None
             except (KeyError, ValueError):
                 raise ValueError(f"bad item {s!r}") from None
+            if part is None:
+                raise ValueError(f"item {s!r} is larger than Z^{MAX_DIM}")
             total = direct_sum(total, part)
         probes.append(total)
     if not probes:
@@ -68,22 +91,22 @@ def matrix_to_obj(m: Matrix) -> dict:
     }
 
 
-def matrix_from_obj(ring: BaseRing, obj, where: str = "matrix") -> Matrix:
+def matrix_from_obj(ring: BaseRing, obj, where: str) -> Matrix:
     if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object with rows/cols/data")
+        raise WorkspaceError(f"{where}: expected an object with rows/cols/data")
     missing = {"rows", "cols", "data"} - set(obj)
     if missing:
-        raise ValueError(f"{where}: missing fields {sorted(missing)}")
+        raise WorkspaceError(f"{where}: missing fields {sorted(missing)}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     # type(...) is int: JSON true/false would pass isinstance(x, int)
     if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
-        raise ValueError(f"{where}: rows/cols must be nonnegative integers")
+        raise WorkspaceError(f"{where}: rows/cols must be nonnegative integers")
     if not isinstance(data, list) or not all(type(x) is int for x in data):
-        raise ValueError(f"{where}: data must be a list of integers")
+        raise WorkspaceError(f"{where}: data must be a list of integers")
     if len(data) != rows * cols:
-        raise ValueError(
-            f"{where}: data length {len(data)} does not match {rows}x{cols}"
-        )
+        raise WorkspaceError(f"{where}: data length {len(data)} does not match {rows}x{cols}")
+    if rows > MAX_DIM or cols > MAX_DIM:  # an n x 0 matrix still holds n rows
+        raise WorkspaceError(f"{where}: rows/cols must be at most {MAX_DIM}")
     return Matrix(
         ring,
         rows,
@@ -95,10 +118,6 @@ def matrix_from_obj(ring: BaseRing, obj, where: str = "matrix") -> Matrix:
 def render_matrix(m: Matrix) -> str:
     """Human-readable nested-list form used in reports."""
     return str(m.to_lists())
-
-
-class WorkspaceError(ValueError):
-    """Input problem; maps to exit code 2 and names the offending field."""
 
 
 def _names(table: dict, key=lambda obj: obj) -> dict:
@@ -216,3 +235,91 @@ def instance_payload(obj) -> dict:
     for item in items:
         ws.add(item)
     return ws.to_dict()
+
+
+def _no_duplicates(pairs):
+    seen = {}
+    for key, value in pairs:
+        if key in seen:
+            raise WorkspaceError(f"duplicate name {key!r}")
+        seen[key] = value
+    return seen
+
+
+def _entries(raw: dict, section: str):
+    """(name, where, spec) for each entry of ``section``, its field set checked."""
+    entries = raw.get(section, {})
+    if not isinstance(entries, dict):
+        raise WorkspaceError(f"{section}: expected an object of named entries")
+    fields = FIELDS[section]
+    for name, spec in entries.items():
+        where = f"{section}.{name}"
+        if not isinstance(spec, dict) or spec.keys() != set(fields):
+            plural = "s" if len(fields) > 1 else ""
+            raise WorkspaceError(f"{where}: expected field{plural} {', '.join(fields)}")
+        yield name, where, spec
+
+
+def _built(where: str, make, *args):
+    """``make(*args)``, its ValueError named after ``where``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise WorkspaceError(f"{where}: {exc}") from None
+
+
+def parse_workspace(text: str) -> Workspace:
+    """Parse and fully validate one workspace file."""
+    try:
+        raw = json.loads(text, object_pairs_hook=_no_duplicates)
+    except json.JSONDecodeError as exc:
+        raise WorkspaceError(
+            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except WorkspaceError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # nesting too deep to decode, or an integer literal too long to convert
+        raise WorkspaceError(f"unreadable workspace: {exc}") from None
+    if not isinstance(raw, dict):
+        raise WorkspaceError("workspace must be a JSON object")
+    unknown = set(raw) - {"ring", *FIELDS}
+    if unknown:
+        raise WorkspaceError(f"unknown top-level fields {sorted(unknown)}")
+    if "ring" not in raw:
+        raise WorkspaceError("workspace is missing the ring declaration")
+    if not isinstance(raw["ring"], str):
+        raise WorkspaceError("ring: expected a string such as Z or Fp:5")
+    ring = _built("ring", ring_from_str, raw["ring"])
+    ws = Workspace(ring=ring)
+
+    def ref(spec: dict, key: str, section: str, where: str):
+        name, kind, table = spec[key], section[:-1], getattr(ws, section)
+        if not isinstance(name, str):
+            raise WorkspaceError(f"{where}.{key}: expected a {kind} name")
+        if name not in table:
+            raise WorkspaceError(f"{where}.{key}: unknown {kind} {name!r}")
+        return table[name]
+
+    for name, where, spec in _entries(raw, "modules"):
+        gens = spec["gens"]
+        if type(gens) is not int or gens < 0:  # not isinstance: JSON true is a bool
+            raise WorkspaceError(f"{where}.gens: expected a nonnegative integer")
+        rels = matrix_from_obj(ring, spec["rels"], f"{where}.rels")
+        ws.modules[name] = _built(where, FpModule, ring, gens, rels)
+    for name, where, spec in _entries(raw, "morphisms"):
+        src = ref(spec, "source", "modules", where)
+        tgt = ref(spec, "target", "modules", where)
+        mat = matrix_from_obj(ring, spec["mat"], f"{where}.mat")
+        ws.morphisms[name] = _built(where, ModMorphism, src, tgt, mat)
+    for name, where, spec in _entries(raw, "functors"):
+        ws.functors[name] = CoherentFunctor(ref(spec, "pres", "morphisms", where))
+    for name, where, spec in _entries(raw, "nats"):
+        src = ref(spec, "source", "functors", where)
+        tgt = ref(spec, "target", "functors", where)
+        a = matrix_from_obj(ring, spec["a"], f"{where}.a")
+        b = matrix_from_obj(ring, spec["b"], f"{where}.b")
+        ws.nats[name] = _built(where, lambda: NatMorphism(
+            src, tgt, ModMorphism(tgt.source_module, src.source_module, a),
+            ModMorphism(tgt.target_module, src.target_module, b)))
+    return ws

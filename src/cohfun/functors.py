@@ -22,13 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .linalg import Matrix, block_diag, hstack, rank_and_divisor, solve_matrix, vstack
+from .linalg import Matrix, hstack, rank_and_divisor, solve_matrix, vstack
 from .modules import (
     FpModule,
     HomGroup,
     ModMorphism,
     cokernel_mor,
     compose_mor,
+    direct_sum,
     free_presentation,
     hom_group,
     identity_mor,
@@ -209,7 +210,7 @@ class NatGroup:
     source: CoherentFunctor
     target: CoherentFunctor
     group: FpModule
-    ev_x: Evaluation
+    hom_x: HomGroup
     incl: ModMorphism
 
     @cached_property
@@ -222,7 +223,7 @@ class NatGroup:
         """The coordinate column of the transformation ``alpha``."""
         if alpha.source != self.source or alpha.target != self.target:
             raise ValueError("transformation does not belong to this Nat group")
-        return self.coords_from_hom(self.ev_x.hom_x.coords_all([alpha.a]))
+        return self.coords_from_hom(self.hom_x.coords_all([alpha.a]))
 
     def coords_from_hom(self, x: Matrix) -> Matrix:
         """Coordinates of the transformations whose a components have Hom coordinates ``x``."""
@@ -234,7 +235,7 @@ class NatGroup:
     def from_coords(self, coeffs: Matrix) -> NatMorphism:
         """The transformation with these coordinates; its b component is solved for."""
         f, g = self.source, self.target
-        a = self.ev_x.hom_x.from_coords(self.incl.mat @ coeffs)
+        a = self.hom_x.from_coords(self.incl.mat @ coeffs)
         b = _evaluation(g, f.target_module).factor_precompose(compose_mor(f.pres, a))
         if b is None:
             raise ValueError("a component does not define a transformation")
@@ -246,7 +247,8 @@ def nat_group(f: CoherentFunctor, g: CoherentFunctor) -> NatGroup:
     if f.ring != g.ring:
         raise ValueError("functors live over different rings")
     k, incl = kernel_mor(evaluate_mor(g, f.pres))
-    return NatGroup(source=f, target=g, group=k, ev_x=_evaluation(g, f.source_module), incl=incl)
+    hom_x = _evaluation(g, f.source_module).hom_x
+    return NatGroup(source=f, target=g, group=k, hom_x=hom_x, incl=incl)
 
 
 def nat_lift(
@@ -268,8 +270,8 @@ def nat_lift(
     post_ends = (g, g) if post is None else (post.source, post.target)
     if pre_ends != (codomain.source, f) or post_ends != (g, codomain.target):
         raise ValueError("nat_lift endpoint mismatch")
-    hom = codomain.ev_x.hom_x.induced(
-        domain.ev_x.hom_x,
+    hom = codomain.hom_x.induced(
+        domain.hom_x,
         pre=None if post is None else post.a,
         post=None if pre is None else pre.a,
     )
@@ -396,13 +398,13 @@ def is_proj_stable(f: CoherentFunctor) -> bool:
 def coker_nat(alpha: NatMorphism) -> tuple[CoherentFunctor, NatMorphism]:
     """Cokernel, presented by [a; g] : X_G -> X_F ⊕ Y_G.
 
-    X_F ⊕ Y_G has the relations block_diag(rels_X_F, rels_Y_G), and the
-    projection is (1, [0 | I]).  It acts pointwise as the quotient by
-    the image of alpha, which is the cokernel in the functor category.
+    X_F ⊕ Y_G is the biproduct ``direct_sum``, and the projection is
+    (1, [0 | I]).  It acts pointwise as the quotient by the image of
+    alpha, which is the cokernel in the functor category.
     """
     f, g = alpha.source, alpha.target
     xf, yg, ring = f.source_module, g.target_module, alpha.ring
-    s = FpModule(ring, xf.gens + yg.gens, block_diag(xf.rels, yg.rels))
+    s = direct_sum(xf, yg)
     c = CoherentFunctor(ModMorphism(g.source_module, s, vstack(alpha.a.mat, g.pres.mat)))
     b = hstack(Matrix.zeros(ring, yg.gens, xf.gens), Matrix.identity(ring, yg.gens))
     return c, NatMorphism(g, c, a=identity_mor(g.source_module), b=ModMorphism(s, yg, b))
@@ -411,12 +413,11 @@ def coker_nat(alpha: NatMorphism) -> tuple[CoherentFunctor, NatMorphism]:
 def _pushout(p: ModMorphism, q: ModMorphism) -> tuple[ModMorphism, ModMorphism]:
     """The pushout of p : A -> B and q : A -> C, as its maps [I; 0] and [0; I].
 
-    The pushout D has the generators of B ⊕ C and the relations
-    hstack(block_diag(rels_B, rels_C), vstack(p, -q)): the biproduct
-    with the image of (p, -q) divided out.
+    The pushout D is the biproduct B ⊕ C (``direct_sum``) with the image
+    of (p, -q) divided out: the relations hstack(rels_{B ⊕ C}, vstack(p, -q)).
     """
     b, c, ring = p.target, q.target, p.ring
-    d = FpModule(ring, b.gens + c.gens, hstack(block_diag(b.rels, c.rels), vstack(p.mat, -q.mat)))
+    d = FpModule(ring, b.gens + c.gens, hstack(direct_sum(b, c).rels, vstack(p.mat, -q.mat)))
     into_b = vstack(Matrix.identity(ring, b.gens), Matrix.zeros(ring, c.gens, b.gens))
     into_c = vstack(Matrix.zeros(ring, b.gens, c.gens), Matrix.identity(ring, c.gens))
     return ModMorphism(b, d, into_b), ModMorphism(c, d, into_c)

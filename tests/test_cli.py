@@ -20,7 +20,7 @@ from cohfun import (
     oracle,
 )
 from cohfun.cli import WorkspaceError, build_parser, main, parse_workspace
-from cohfun.formats import Workspace, instance_payload
+from cohfun.formats import FIELDS, MAX_DIM, Workspace, instance_payload
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,6 +35,94 @@ KINDS = ["module", "morphism", "functor", "nat", "ses"]
 EMPTY_RELS = {"rows": 1, "cols": 0, "data": []}
 TRUE_RELS = {"rows": 1, "cols": 1, "data": [True]}
 ONE = {"rows": 1, "cols": 1, "data": [1]}
+
+
+# A workspace with one entry in each section: Z/2, its identity f, the
+# functor F it presents, and F's identity n.  Each MALFORMED row edits it
+# at one path (DROP deletes the field) or replaces the whole text.
+DROP = object()
+BASE = {
+    "ring": "Z",
+    "modules": {"A": {"gens": 1, "rels": {"rows": 1, "cols": 1, "data": [2]}}},
+    "morphisms": {"f": {"source": "A", "target": "A", "mat": ONE}},
+    "functors": {"F": {"pres": "f"}},
+    "nats": {"n": {"source": "F", "target": "F", "a": ONE, "b": ONE}},
+}
+
+
+def edited(path: str, value) -> str:
+    ws = json.loads(json.dumps(BASE))
+    *parents, last = path.split(".")
+    node = ws
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return json.dumps(ws)
+
+
+A_TWICE = '"A": {"gens": 0, "rels": {"rows": 0, "cols": 0, "data": []}}'
+MALFORMED = [
+    ("syntax", '{\n  "ring": Z\n}', "syntax error at line 2, column 11: Expecting value"),
+    ("deep-nesting", "[" * 100_000 + "]" * 100_000,
+     "unreadable workspace: maximum recursion depth exceeded while decoding a JSON array"
+     " from a unicode string"),
+    ("long-integer", "[" + "7" * 5000 + "]",
+     "unreadable workspace: Exceeds the limit (4300 digits) for integer string conversion:"
+     " value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ("not-an-object", "[]", "workspace must be a JSON object"),
+    ("top-level", json.dumps({**BASE, "rings": 1, "extra": {}}),
+     "unknown top-level fields ['extra', 'rings']"),
+    ("no-ring", edited("ring", DROP), "workspace is missing the ring declaration"),
+    ("ring-number", edited("ring", 5), "ring: expected a string such as Z or Fp:5"),
+    ("ring-name", edited("ring", "Q"), "ring: bad ring 'Q': expected Z or Fp:<prime>"),
+    ("ring-composite", edited("ring", "Fp:4"), "ring: modulus 4 is not prime"),
+    ("ring-large", edited("ring", "Fp:65537"), "ring: prime modulus out of range: 65537"),
+    ("modules-list", edited("modules", []), "modules: expected an object of named entries"),
+    ("morphisms-list", edited("morphisms", [1]),
+     "morphisms: expected an object of named entries"),
+    ("functors-string", edited("functors", "F"),
+     "functors: expected an object of named entries"),
+    ("nats-null", edited("nats", None), "nats: expected an object of named entries"),
+    ("module-fields", edited("modules.A.rels", DROP), "modules.A: expected fields gens, rels"),
+    ("morphism-fields", edited("morphisms.f.extra", 1),
+     "morphisms.f: expected fields source, target, mat"),
+    ("functor-fields", edited("functors.F", {}), "functors.F: expected field pres"),
+    ("nat-fields", edited("nats.n", 1), "nats.n: expected fields source, target, a, b"),
+    ("gens-bool", edited("modules.A.gens", True),
+     "modules.A.gens: expected a nonnegative integer"),
+    ("gens-negative", edited("modules.A.gens", -1),
+     "modules.A.gens: expected a nonnegative integer"),
+    ("source-list", edited("morphisms.f.source", ["A"]),
+     "morphisms.f.source: expected a module name"),
+    ("pres-number", edited("functors.F.pres", 1), "functors.F.pres: expected a morphism name"),
+    ("nat-target-null", edited("nats.n.target", None),
+     "nats.n.target: expected a functor name"),
+    ("unknown-module", edited("morphisms.f.target", "B"),
+     "morphisms.f.target: unknown module 'B'"),
+    ("unknown-morphism", edited("functors.F.pres", "g"),
+     "functors.F.pres: unknown morphism 'g'"),
+    ("unknown-functor", edited("nats.n.source", "G"), "nats.n.source: unknown functor 'G'"),
+    ("matrix-list", edited("modules.A.rels", [2]),
+     "modules.A.rels: expected an object with rows/cols/data"),
+    ("matrix-fields", edited("morphisms.f.mat", {"rows": 1}),
+     "morphisms.f.mat: missing fields ['cols', 'data']"),
+    ("matrix-rows", edited("nats.n.a.rows", -1), "nats.n.a: rows/cols must be nonnegative integers"),
+    ("matrix-data", edited("nats.n.b.data", [1.0]), "nats.n.b: data must be a list of integers"),
+    ("matrix-length", edited("modules.A.rels.data", [2, 3]),
+     "modules.A.rels: data length 2 does not match 1x1"),
+    ("module", edited("modules.A.gens", 2), "modules.A: relation matrix has 1 rows for 2 generators"),
+    ("morphism", edited("morphisms.f.mat", {"rows": 2, "cols": 1, "data": [1, 1]}),
+     "morphisms.f: morphism matrix is 2x1, expected 1x1"),
+    ("nat-component", edited("nats.n.a", {"rows": 1, "cols": 2, "data": [1, 1]}),
+     "nats.n: morphism matrix is 1x2, expected 1x1"),
+    ("nat", edited("nats.n.b", {"rows": 1, "cols": 1, "data": [0]}),
+     "nats.n: incompatible transformation: f∘a != b∘g"),
+    ("duplicate", '{"ring": "Z", "modules": {' + A_TWICE + ", " + A_TWICE + "}}",
+     "duplicate name 'A'"),
+]
 
 
 def canonical_text(ws: Workspace) -> str:
@@ -160,6 +248,48 @@ class TestParsing:
         text = canonical_text(ws)
         again = parse_workspace(text)
         assert canonical_text(again) == text
+
+
+class TestParserMessages:
+    @pytest.mark.parametrize("text, message", [row[1:] for row in MALFORMED],
+                             ids=[row[0] for row in MALFORMED])
+    def test_each_malformed_workspace_prints_its_message(self, text, message, tmp_path, capsys):
+        path = tmp_path / "ws.json"
+        path.write_text(text, encoding="utf-8")
+        code, out = run_cli(["--input", str(path), "w", "F"])
+        assert (code, out, capsys.readouterr().err) == (2, "", f"error: {message}\n")
+
+    def test_the_base_workspace_parses(self):
+        assert list(parse_workspace(json.dumps(BASE)).nats) == ["n"]
+
+    def test_written_entries_have_the_fields_that_are_read(self):
+        code, text = run_cli(["random", "--kind", "nat", "--seed", "5"])
+        payload = json.loads(text)
+        assert code == 0 and set(payload) == {"ring", *FIELDS}
+        for section, entries in FIELDS.items():
+            assert all(set(spec) == set(entries) for spec in payload[section].values())
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["--battery", f"Z,Z^{MAX_DIM + 1}", "eval", "F", "M"], None,
+         f"--battery: item 'Z^{MAX_DIM + 1}' is larger than Z^{MAX_DIM}"),
+        (["w", "F"], edited("modules.A", {"gens": MAX_DIM + 1, "rels": {
+            "rows": MAX_DIM + 1, "cols": 0, "data": []}}),
+         f"modules.A.rels: rows/cols must be at most {MAX_DIM}"),
+        (["w", "F"], edited("nats.n.a", {"rows": 0, "cols": MAX_DIM + 1, "data": []}),
+         f"nats.n.a: rows/cols must be at most {MAX_DIM}"),
+    ], ids=["battery-rank", "matrix-rows", "matrix-cols"])
+    def test_sizes_above_the_bound_are_refused(self, argv, text, message, tmp_path, capsys):
+        if text is not None:
+            (tmp_path / "ws.json").write_text(text)
+            argv = ["--input", str(tmp_path / "ws.json"), *argv]
+        code, out = run_cli(argv)
+        assert (code, out, capsys.readouterr().err) == (2, "", f"error: {message}\n")
+
+    def test_sizes_at_the_bound_are_read(self):
+        (probe,) = cohfun.formats.probes_from_spec(Z, f"Z^{MAX_DIM}")
+        rels = {"rows": 0, "cols": MAX_DIM, "data": []}
+        ws = parse_workspace(json.dumps({"ring": "Z", "modules": {"A": {"gens": 0, "rels": rels}}}))
+        assert probe.gens == ws.modules["A"].rels.cols == MAX_DIM
 
 
 class TestCommands:
