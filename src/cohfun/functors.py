@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .linalg import Matrix, hstack, rank_and_divisor, solve_matrix, vstack
+from .linalg import Matrix, hermite_solve, hstack, rank_and_divisor, solve_matrix, vstack
 from .modules import (
     FpModule,
     HomGroup,
@@ -201,9 +201,9 @@ class NatGroup:
     Elements are coordinate columns on ``group``'s generators; a
     generator's a component is the Hom(X_G, X_F) element picked out by
     the kernel inclusion, a Hermite basis whose span holds G(X)'s
-    relations, so coordinates are solved for against it alone and are
-    unique.  ``reps`` builds the generators as transformations, for the
-    ``nat`` command, the oracle's naturality checks and tests;
+    relations, so coordinates are read off it alone by substitution and
+    are unique.  ``reps`` builds the generators as transformations, for
+    the ``nat`` command, the oracle's naturality checks and tests;
     everything else stays in coordinates.
     """
 
@@ -227,7 +227,7 @@ class NatGroup:
 
     def coords_from_hom(self, x: Matrix) -> Matrix:
         """Coordinates of the transformations whose a components have Hom coordinates ``x``."""
-        c = solve_matrix(self.incl.mat, x)
+        c = hermite_solve(self.incl.mat, x)
         if c is None:
             raise ValueError("transformation escaped its Nat group; inconsistent data")
         return c
@@ -289,7 +289,7 @@ def w_mor(alpha: NatMorphism) -> ModMorphism:
     """Contravariant action: alpha : F -> G restricts a to w(G) -> w(F)."""
     wg, kg = w_of(alpha.target)
     wf, kf = w_of(alpha.source)
-    coeff = solve_matrix(kf.mat, alpha.a.mat @ kg.mat)
+    coeff = hermite_solve(kf.mat, alpha.a.mat @ kg.mat)
     if coeff is None:
         raise ValueError("kernel restriction failed; incompatible transformation")
     return ModMorphism(wg, wf, coeff)

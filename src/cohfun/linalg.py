@@ -3,7 +3,7 @@
 Everything in the higher layers (module presentations, Hom groups, the
 functor calculus) reduces to a handful of primitives implemented here:
 Smith normal form with invertible transformation witnesses, exact
-solving of linear systems, Hermite bases, and preimage lattices.  All
+solving, Hermite bases and substitution in them, preimage lattices.  All
 arithmetic is arbitrary precision; Smith reduction is prone to
 intermediate coefficient growth, so fixed-width integers would be a
 correctness bug, not a performance tweak.
@@ -663,6 +663,37 @@ def hermite_basis(m: Matrix) -> Matrix:
                     result[j] = [(x - q * y) % p for x, y in zip(prev, head)]
         result.append(head)
     return _matrix(ring, n, len(result), tuple(zip(*result)) if result else ((),) * n)
+
+
+def hermite_solve(h: Matrix, b: Matrix) -> Matrix | None:
+    """The unique X with h @ X == b for h in column echelon form, or None.
+
+    Echelon, as a ``hermite_basis`` result is: each column's first nonzero
+    entry, its pivot, lies below the previous column's.  X is read by
+    substitution, one row of h at a time (Cohen 2.4).
+    """
+    if h.ring != b.ring or h.rows != b.rows:
+        raise ValueError("ring or row mismatch in hermite_solve")
+    p, cols, j, echelon = h.ring.p, h.cols, 0, True
+    for row in h.entries:  # j counts the pivots above this row
+        echelon = echelon and not any(row[j + 1:])
+        if j < cols and row[j]:
+            j += 1
+    if not echelon or j < cols:
+        raise ValueError("hermite_solve needs a column echelon matrix")
+    x: list[tuple[int, ...]] = []  # over F_p, residues are reduced only where read
+    for row, res in zip(h.entries, b.entries):
+        for c, xk in zip(row, x):
+            if c:
+                res = [u - c * v for u, v in zip(res, xk)]
+        d = row[len(x)] if len(x) < cols else 0
+        if not d and any(h.ring.normalize(v) for v in res):
+            return None  # a row holding no pivot must be left with no residue
+        if p is None and d and any(v % d for v in res):
+            return None  # the pivot does not divide the residue
+        if d:
+            x.append(tuple(v // d if p is None else v * pow(d, -1, p) % p for v in res))
+    return _matrix(h.ring, cols, b.cols, tuple(x))
 
 
 def solve_matrix(m: Matrix, b: Matrix) -> Matrix | None:

@@ -5,13 +5,11 @@ relation matrix whose *columns* are relations.  A morphism is a matrix on
 generators, taken modulo the target's relations; well-definedness and
 equality are decided exactly by linear solving.  Cokernels and direct
 sums are written down directly from presentations.  Kernels, and Hom
-groups over Z from a module with relations, are preimage lattices
-computed by the Smith normal form primitives in ``linalg``.  The other
-Hom groups are presented on free data: over Z from a free module,
-Hom(Z^n, b) is b^n on the nose, and over a field Hom is read off the
-pruned presentations, which are free; each distinct presentation is
-pruned once.  Those two kinds give the coordinates of a morphism by one
-matrix product instead of a solve.
+groups over Z, are preimage lattices in Hermite form, computed by the
+primitives in ``linalg``; the coordinates of a morphism are read off
+that basis by substitution.  Over a field Hom is read off the pruned
+presentations, which are free, and coordinates are one matrix product;
+each distinct presentation is pruned once, off its echelon form.
 
 A module is its presentation.  Its Smith form, and the free rank and
 invariant factors read off it, are computed when first read.  Object
@@ -29,6 +27,8 @@ from .linalg import (
     Matrix,
     SnfResult,
     block_diag,
+    hermite_basis,
+    hermite_solve,
     hstack,
     kron,
     preimage_lattice,
@@ -206,12 +206,11 @@ class HomGroup:
     coordinate columns (mutually inverse modulo the group's relations);
     ``coords_all`` and ``induced`` express many morphisms at once.
 
-    When ``coord_mat`` is set, the coordinates of a morphism are
-    ``coord_mat @ vec(phi)``, one product.  ``hom_group`` sets it for
-    the groups it presents on free data: the identity over Z from a free
-    source, and kron(s_b, t_a^T) over a field.  Otherwise ``gen_mat`` is
-    a Hermite basis whose span holds the relations, and coordinates are
-    the unique solution against it alone.
+    Over a field ``hom_group`` sets ``coord_mat`` to kron(s_b, t_a^T),
+    and the coordinates of a morphism are ``coord_mat @ vec(phi)``, one
+    product.  Over Z ``gen_mat`` is a Hermite basis whose span holds the
+    relations, and coordinates are the unique solution against it alone,
+    read by substitution.
     """
 
     source: FpModule
@@ -220,16 +219,11 @@ class HomGroup:
     gen_mat: Matrix  # vec'd generator matrices, one column per generator
     coord_mat: Matrix | None = None
 
-    @cached_property
-    def _solver(self) -> SnfResult:
-        """The solver for ``gen_mat``, a basis whose span holds the relations, built once."""
-        return smith_normal_form(self.gen_mat)
-
     def _solve(self, vecs: Matrix) -> Matrix:
         """Coordinates of the vec'd morphism matrices in the columns of ``vecs``."""
         if self.coord_mat is not None:
             return self.coord_mat @ vecs
-        z = self._solver.solve(vecs)
+        z = hermite_solve(self.gen_mat, vecs)
         if z is None:
             raise ValueError("morphism is not generated; Hom group is inconsistent")
         return z
@@ -274,31 +268,22 @@ class HomGroup:
 def prune(rels: Matrix) -> tuple[Matrix, Matrix]:
     """Prune the presentation coker(rels) over a field: ``(s, t)``.
 
-    Each nonzero entry of a relation removes its generator and that
-    relation (the ``prune`` of Macaulay2), until no relation is left,
-    so the pruned module is free of rank ``s.rows``.  ``s`` maps the
-    module onto it and ``t``, which keeps the surviving generators,
-    maps it back; the two are mutually inverse.
+    The relations' Hermite basis is their reduced column echelon form.
+    Each column writes the generator at its pivot, 1 there and 0 in the
+    other columns, as minus its entries at the kept ones (the ``prune``
+    of Macaulay2), so the pruned module is free of rank ``s.rows``.
+    ``s`` maps the module onto it and ``t``, which keeps the surviving
+    generators, maps it back; the two are mutually inverse.
     """
-    ring, n, r = rels.ring, rels.rows, rels.cols
-    p = ring.p
-    # one row per current generator: its relation entries, then its row of s
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rels.entries)]
-    kept, live = list(range(n)), list(range(r))
-    while pivot := next(((i, j) for j in live for i, row in enumerate(rows) if row[j]), None):
-        i, j = pivot
-        inv = pow(rows[i][j], -1, p)
-        prow = rows.pop(i)
-        del kept[i]
-        live.remove(j)
-        # generator i is -inv * (the rest of relation j); substitute it everywhere
-        for row in rows:
-            if c := row[j] * inv:
-                row[:] = [(x - c * y) % p for x, y in zip(row, prow)]
-    m = len(rows)
-    s = Matrix(ring, m, n, tuple(tuple(row[r:]) for row in rows))
-    t = Matrix(ring, n, m, tuple(tuple(int(k == i) for k in kept) for i in range(n)))
-    return s, t
+    ring, n, h = rels.ring, rels.rows, hermite_basis(rels)
+    pivots = {next(i for i in range(n) if h.entries[i][j]): j for j in range(h.cols)}
+    kept = [i for i in range(n) if i not in pivots]
+    s = tuple(
+        tuple(-h.entries[k][pivots[i]] if i in pivots else int(i == k) for i in range(n))
+        for k in kept
+    )
+    t = tuple(tuple(int(k == i) for k in kept) for i in range(n))
+    return Matrix(ring, len(kept), n, s), Matrix(ring, n, len(kept), t)
 
 
 @lru_cache(maxsize=None)
@@ -331,11 +316,11 @@ def hom_group(a: FpModule, b: FpModule) -> HomGroup:
       nb' x na' matrices M, realized as t_b @ M @ s_a.  The coordinates
       of phi are M = s_b @ phi @ t_a, unique because the group is free:
       one product with kron(s_b, t_a^T).
-    - Over Z from a free ``a``, Hom(Z^na, b) is b^na on the nose, and
-      the coordinates of phi are vec(phi) itself.
+    - Over Z from a free ``a``, Hom(Z^na, b) is b^na on the nose: the
+      basis is the identity, so coordinates are vec(phi) itself.
     - Otherwise Hom(a, b) is the lattice of T with T @ rels_a in the span
       of rels_b, modulo the T with columns in that span; its Hermite
-      basis holds those, and coordinates are solved for against it alone.
+      basis holds those, and coordinates are read off it by substitution.
     """
     if a.ring != b.ring:
         raise ValueError("Hom between modules over different rings")
@@ -350,14 +335,11 @@ def hom_group(a: FpModule, b: FpModule) -> HomGroup:
             kron(t_b, s_a.transpose()),
             coord_mat=kron(s_b, t_a.transpose()),
         )
-    na, ma = a.gens, a.rels.cols
-    nb, mb = b.gens, b.rels.cols
-    n = nb * na
+    na, ma, nb = a.gens, a.rels.cols, b.gens
     ident_na = Matrix.identity(ring, na)
-    coord_mat = None
     if ma == 0:
         # Hom(ring^na, B) is B^na on the nose; skip the kernel computation.
-        gen_mat = coord_mat = Matrix.identity(ring, n)
+        gen_mat = Matrix.identity(ring, nb * na)
         rels = kron(b.rels, ident_na)
     else:
         # {T : T @ rels_a == rels_b @ W} as a sublattice of Z^(nb*na),
@@ -367,7 +349,7 @@ def hom_group(a: FpModule, b: FpModule) -> HomGroup:
         gen_mat = preimage_lattice(cond, modw)
         rels = preimage_lattice(gen_mat, kron(b.rels, ident_na))
     group = FpModule(ring, gen_mat.cols, rels)
-    return HomGroup(source=a, target=b, group=group, gen_mat=gen_mat, coord_mat=coord_mat)
+    return HomGroup(source=a, target=b, group=group, gen_mat=gen_mat)
 
 
 def direct_sum(a: FpModule, b: FpModule) -> FpModule:

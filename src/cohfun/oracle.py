@@ -33,6 +33,7 @@ from .linalg import (
     BaseRing,
     Matrix,
     block_diag,
+    hermite_solve,
     hstack,
     preimage_lattice,
     rank_and_divisor,
@@ -721,7 +722,7 @@ def case_coyoneda(rng: random.Random, ring: BaseRing, battery: ProbeBattery):
 def _theta(alpha: NatMorphism) -> ModMorphism:
     f = alpha.source
     wf, kf = w_of(f)
-    coeff = solve_matrix(kf.mat, alpha.a.mat)
+    coeff = hermite_solve(kf.mat, alpha.a.mat)
     return ModMorphism(alpha.a.source, wf, coeff)
 
 

@@ -19,8 +19,10 @@ from cohfun import (
     is_zero_functor,
     oracle,
 )
+from cohfun import functors, modules
 from cohfun.cli import WorkspaceError, build_parser, main, parse_workspace
 from cohfun.formats import FIELDS, MAX_DIM, Workspace, instance_payload
+from cohfun.linalg import hermite_basis, hermite_solve
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -545,6 +547,23 @@ class TestPayloads:
         assert ws.add(FpModule.cyclic(Z, 3)) == "M2"
         assert ws.modules["M1"] is taken
         assert ws.add(FpModule.cyclic(Z, 2)) == "M1"
+
+
+class TestHermiteSolveInputs:
+    def test_every_matrix_solved_by_substitution_is_its_own_hermite_basis(self, monkeypatch):
+        seen = {}
+        for module in (modules, functors, oracle):
+            def spy(h, b, name=module.__name__):
+                seen.setdefault(name, []).append(h)
+                return hermite_solve(h, b)
+            monkeypatch.setattr(module, "hermite_solve", spy)
+        for ring in (Z, F5):
+            assert all(r.passed for r in oracle.verify_theorems(ring=ring, seed=0, cases=3))
+        run_script("worked_quotient.json", QUOTIENT_COMMANDS)
+        run_script("worked_yoneda.json", YONEDA_COMMANDS)
+        assert set(seen) == {"cohfun.modules", "cohfun.functors", "cohfun.oracle"}
+        for name, mats in seen.items():
+            assert all(hermite_basis(h) == h for h in set(mats)), name
 
 
 class TestGolden:

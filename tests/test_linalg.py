@@ -12,6 +12,7 @@ from cohfun.linalg import (
     BaseRing,
     Matrix,
     hermite_basis,
+    hermite_solve,
     hstack,
     kron,
     preimage_lattice,
@@ -303,6 +304,77 @@ class TestSolver:
             rels = rand_matrix(rng, ring, max_dim=4)
             module = FpModule(ring, rels.rows, rels)
             assert module.snf == smith_normal_form(rels)
+
+
+HERMITE_RINGS = [Z] + [BaseRing.prime_field(p) for p in (2, 5, 7)]
+
+
+class TestHermiteSolve:
+    """Substitution against an echelon basis gives the unique solution, or None."""
+
+    def check(self, h, b):
+        x = hermite_solve(h, b)
+        assert x == solve_matrix(h, b)
+        if x is not None:
+            assert h @ x == b
+        return x is not None
+
+    @pytest.mark.parametrize("ring", HERMITE_RINGS, ids=str)
+    def test_hermite_and_preimage_outputs_match_solve_matrix(self, ring):
+        rng = random.Random(f"hermite-solve:{ring}")
+        verdicts = set()
+        for case in range(200):
+            m = rand_matrix(rng, ring, max_dim=5, lo=-6, hi=6)
+            if case % 2:
+                q = Matrix.from_rows(
+                    ring, [[rng.randrange(-6, 7) for _ in range(2)] for _ in range(m.rows)], cols=2
+                )
+                h = preimage_lattice(m, q)
+            else:
+                h = hermite_basis(m)
+            k = rng.randrange(0, 4)
+            inside = rng.random() < 0.5  # else a random right-hand side
+            rows = h.cols if inside else h.rows
+            b = Matrix.from_rows(
+                ring, [[rng.randrange(-4, 5) for _ in range(k)] for _ in range(rows)], cols=k
+            )
+            if inside:
+                b = h @ b
+            found = self.check(h, b)
+            assert found or not inside
+            verdicts.add(found)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("ring", HERMITE_RINGS, ids=str)
+    def test_zero_sized_shapes(self, ring):
+        # 0 x 0, n x 0, and the basis of a zero matrix, which has no columns
+        for h in (Matrix.zeros(ring, 0, 0), Matrix.zeros(ring, 3, 0),
+                  hermite_basis(Matrix.zeros(ring, 2, 4))):
+            assert h.cols == 0
+            for k in (0, 2):
+                assert hermite_solve(h, Matrix.zeros(ring, h.rows, k)) == Matrix.zeros(ring, 0, k)
+            if h.rows:
+                assert not self.check(h, Matrix.column(ring, [1] + [0] * (h.rows - 1)))
+        h = hermite_basis(Matrix.from_rows(ring, [[1, 2], [3, 4], [5, 6]]))
+        assert self.check(h, Matrix.zeros(ring, 3, 0))
+
+    def test_a_pivot_that_does_not_divide_the_target(self):
+        assert not self.check(Matrix.from_rows(Z, [[2]]), Matrix.column(Z, [1]))
+        # the second pivot, 2, meets 4 - 3 * 1 == 1 once the first is read
+        h = Matrix.from_rows(Z, [[1, 0], [3, 2]])
+        assert not self.check(h, Matrix.column(Z, [1, 4]))
+        assert self.check(h, Matrix.column(Z, [1, 5]))
+
+    def test_errors(self):
+        h = Matrix.from_rows(Z, [[1, 0], [3, 2]])
+        with pytest.raises(ValueError, match="ring or row mismatch"):
+            hermite_solve(h, Matrix.column(F5, [1, 2]))
+        with pytest.raises(ValueError, match="ring or row mismatch"):
+            hermite_solve(h, Matrix.column(Z, [1, 2, 3]))
+        # pivots out of order, a pivot above the previous one, a zero column
+        for rows in ([[0, 1], [1, 0]], [[1, 1], [0, 1]], [[1, 0], [2, 0]]):
+            with pytest.raises(ValueError, match="column echelon"):
+                hermite_solve(Matrix.from_rows(Z, rows), Matrix.column(Z, [1, 2]))
 
 
 class TestLattices:

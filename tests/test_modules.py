@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -21,8 +20,8 @@ from cohfun import (
     render_group,
     zero_mor,
 )
-from cohfun import modules
-from cohfun.linalg import hstack, kron, smith_normal_form, vec
+from cohfun import linalg, modules
+from cohfun.linalg import hermite_solve, hstack, kron, smith_normal_form, vec
 from cohfun.modules import HomGroup, prune
 from cohfun.oracle import (
     Bounds,
@@ -272,10 +271,21 @@ def vecs_of(ring, phis, rows):
     return hstack(Matrix.zeros(ring, rows, 0), *(vec(phi.mat) for phi in phis))
 
 
-class TestHomCoordinatesByProduct:
-    """Hom groups on free data give coordinates by one product, as the solver would."""
+@pytest.fixture
+def snf_args(monkeypatch):
+    """Every matrix handed to ``smith_normal_form``, through linalg's binding or modules'."""
+    seen = []
+    snf = smith_normal_form
+    for module in (linalg, modules):
+        monkeypatch.setattr(module, "smith_normal_form", lambda m: seen.append(m) or snf(m))
+    return seen
 
-    def test_free_source_over_z_reads_vec(self):
+
+class TestHomCoordinatesByProduct:
+    """Hom coordinates read off the basis agree with the coset solve, and take
+    no Smith form of the basis: by substitution over Z, by one product over a field."""
+
+    def test_free_source_over_z_reads_vec(self, snf_args):
         rng = _stream(0, "free-source-coords")
         for _ in range(100):
             a, b = free(rng.randrange(0, 4)), random_module(rng, Z, Bounds())
@@ -284,50 +294,68 @@ class TestHomCoordinatesByProduct:
                 shifted(rng, ModMorphism(a, b, random_matrix(rng, Z, b.gens, a.gens)))
                 for _ in range(3)
             ]
-            vecs = vecs_of(Z, phis, h.gen_mat.rows)
-            assert h.coords_all(phis) == vecs == hom_coords(h, vecs)
             b2 = random_module(rng, Z, Bounds())
             post = shifted(rng, random_morphism(rng, b, b2, Bounds()))
             into = hom_group(a, b2)
+            snf_args.clear()
+            coords, induced = h.coords_all(phis), into.induced(h, post=post)
+            assert h.gen_mat not in snf_args and into.gen_mat not in snf_args
+            vecs = vecs_of(Z, phis, h.gen_mat.rows)
+            assert h.gen_mat == Matrix.identity(Z, vecs.rows)
+            assert coords == vecs == hom_coords(h, vecs)
             images = kron(post.mat, Matrix.identity(Z, a.gens)) @ h.gen_mat
-            assert into.induced(h, post=post) == images == hom_coords(into, images)
-            assert "_solver" not in vars(h) and "_solver" not in vars(into)
+            assert induced == images == hom_coords(into, images)
 
     @pytest.mark.parametrize("ring", [BaseRing.prime_field(p) for p in (2, 5, 7)], ids=str)
-    def test_field_coords_match_the_solver(self, ring):
+    def test_field_coords_match_the_solver(self, ring, snf_args):
         rng = _stream(0, "field-coords", ring)
         for _ in range(100):
             a, a2, b = (random_module(rng, ring, Bounds()) for _ in range(3))
             h = hom_group(a, b)
             phis = [shifted(rng, random_morphism(rng, a, b, Bounds())) for _ in range(3)]
-            vecs = vecs_of(ring, phis, h.gen_mat.rows)
-            assert h.coords_all(phis) == hom_coords(h, vecs)
             pre = shifted(rng, random_morphism(rng, a2, a, Bounds()))
             into = hom_group(a2, b)
+            snf_args.clear()
+            coords, induced = h.coords_all(phis), into.induced(h, pre=pre)
+            assert h.gen_mat not in snf_args and into.gen_mat not in snf_args
+            assert h.coord_mat is not None and into.coord_mat is not None
+            vecs = vecs_of(ring, phis, h.gen_mat.rows)
+            assert coords == hom_coords(h, vecs)
             images = kron(Matrix.identity(ring, b.gens), pre.mat.transpose()) @ h.gen_mat
-            assert into.induced(h, pre=pre) == hom_coords(into, images)
-            assert "_solver" not in vars(h) and "_solver" not in vars(into)
+            assert induced == hom_coords(into, images)
 
     def test_hom_from_a_module_with_relations_over_z_solves(self):
+        # over Z no Hom group carries a coordinate matrix: free source or not,
+        # coordinates are solved against the basis, and they give phi back
         h = hom_group(cyc(4), cyc(6))
         assert h.coord_mat is None
-        h.coords(reps(h)[0])
-        assert "_solver" in vars(h)
+        assert h.coords(reps(h)[0]) == Matrix.identity(Z, 1)
+        rng = _stream(0, "z-hom-substitution")
+        for _ in range(50):
+            a, b = random_module(rng, Z, Bounds()), random_module(rng, Z, Bounds())
+            h = hom_group(a, b)
+            assert h.coord_mat is None
+            phi = shifted(rng, random_morphism(rng, a, b, Bounds()))
+            assert h.from_coords(h.coords(phi)) == phi
 
-    def test_the_solver_reads_the_generator_basis_alone(self, monkeypatch):
-        # no relation block beside gen_mat: its Hermite basis spans the relations
-        seen = []
-        snf = smith_normal_form
-        monkeypatch.setattr(modules, "smith_normal_form", lambda m: seen.append(m) or snf(m))
+    def test_the_solver_reads_the_generator_basis_alone(self, snf_args, monkeypatch):
+        # coordinates are read off gen_mat by substitution: its Hermite basis
+        # spans the relations, so no relation block and no Smith form of it
+        solved = []
+        monkeypatch.setattr(
+            modules, "hermite_solve", lambda m, b: solved.append(m) or hermite_solve(m, b)
+        )
         rng = _stream(0, "solver-columns")
         for _ in range(20):
             a, b = random_module(rng, Z, Bounds()), random_module(rng, Z, Bounds())
-            if a.rels.cols == 0:
-                continue
-            h = dataclasses.replace(hom_group(a, b))  # a copy with no cached solver
-            h.coords(random_morphism(rng, a, b, Bounds()))
-            assert seen[-1].cols == h.gen_mat.cols and seen[-1] == h.gen_mat
-        assert seen
+            h = hom_group(a, b)
+            phi = random_morphism(rng, a, b, Bounds())
+            snf_args.clear()
+            h.coords(phi)
+            assert solved[-1] == h.gen_mat and h.gen_mat not in snf_args
+        # the spy does see a Smith form of gen_mat, when one is taken
+        linalg.solve_matrix(h.gen_mat, vec(phi.mat))
+        assert snf_args[-1] == h.gen_mat
 
 
 class TestHomCoordinatesAgainstTheBasis:

@@ -400,7 +400,7 @@ BRUTE_FORCE = (
 )
 CHECKED = {
     "hom_group", "solve_matrix", "preimage_lattice", "hermite_basis",
-    "smith_normal_form",
+    "hermite_solve", "smith_normal_form",
     "contains", "solve",  # the solver methods of SnfResult
     "snf", "invariant_factors", "canonical_form",  # a module's Smith form, read as data
 }
